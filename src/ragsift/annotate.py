@@ -1,22 +1,22 @@
 """Teacher-annotation export for distillation training.
 
-Each training query's top candidates are judged in a single window and the
-raw teacher output is validated strictly: unlike inference-time parsing,
-nothing is repaired, and any output that would have needed repair is
-rejected with defect tags. Passing targets are canonicalized so they
-re-parse with zero repairs.
+Each training query's top candidates are judged in a single window, run by
+the shared batch runner, and the teacher output is validated strictly:
+unlike inference-time parsing, nothing is repaired, and any output whose one
+parse needed repair is rejected with defect tags read off the verdict.
+Passing targets are canonicalized so they re-parse with zero repairs.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import CandidateList, Corpus, Query, resolve_candidates
+from .corpus import CandidateList, Corpus, Passage, Query
 from .judge import (
     DEDUP,
     FREE_TEXT_STRIPPED,
@@ -27,11 +27,12 @@ from .judge import (
     UNPARSEABLE,
     Judge,
     JudgeTransportError,
-    canonical_ranking_text,
-    canonical_selection_text,
-    parse_ranking,
-    parse_selection,
+    JudgeVerdict,
+    canonical_text,
+    judge_window,
+    verdict_from_text,
 )
+from .pipeline import run_batch
 from .prompting import PromptBudget, PromptTemplate, default_templates, render
 from .windowing import WindowConfig
 
@@ -64,48 +65,79 @@ class TrainingRecord:
         }
 
 
-def validate_generation(text: str, kind: str, n: int) -> tuple[bool, list[str]]:
-    """Strict training-time validation of a raw teacher generation.
+def verdict_defects(verdict: JudgeVerdict) -> list[str]:
+    """Strict training-time defects of a teacher verdict, read off its repairs.
 
-    A generation passes only if the unrepaired parse is defect-free:
-    ``improper_format`` covers output whose identifiers had to be scavenged
-    from free text (or were absent, or sat outside the window, or, for
-    selection, came without a pseudo answer); ``missing_identifiers`` flags
-    ranking output that does not cover 1..n exactly; ``repetitive`` flags any
-    identifier emitted twice.
+    A verdict passes only if its parse needed no repair: ``improper_format``
+    covers output whose identifiers had to be scavenged from free text (or
+    were absent, or sat outside the window, or, for selection, came without a
+    pseudo answer); ``missing_identifiers`` flags ranking output that does not
+    cover 1..n exactly; ``repetitive`` flags any identifier emitted twice.
     """
+    tags = set(verdict.repairs)
     defects: set[str] = set()
-    if kind == RANKING:
-        _, repairs = parse_ranking(text, n)
-        tags = set(repairs)
+    if verdict.kind == RANKING:
         if tags & {FREE_TEXT_STRIPPED, UNPARSEABLE}:
             defects.add(IMPROPER_FORMAT)
         if tags & {MISSING_APPENDED, OUT_OF_RANGE_DROPPED}:
             defects.add(MISSING_IDENTIFIERS)
-        if DEDUP in tags:
-            defects.add(REPETITIVE)
-    elif kind == SELECTION:
-        _, pseudo, repairs = parse_selection(text, n)
-        tags = set(repairs)
+    elif verdict.kind == SELECTION:
         if tags & {FREE_TEXT_STRIPPED, UNPARSEABLE, OUT_OF_RANGE_DROPPED}:
             defects.add(IMPROPER_FORMAT)
-        if pseudo is None or not pseudo.strip():
+        if verdict.pseudo_answer is None or not verdict.pseudo_answer.strip():
             # the training target must teach answer drafting, not just picking
             defects.add(IMPROPER_FORMAT)
-        if DEDUP in tags:
-            defects.add(REPETITIVE)
     else:
-        raise ValueError(f"unknown annotation kind {kind!r}")
-    ordered = [d for d in (IMPROPER_FORMAT, MISSING_IDENTIFIERS, REPETITIVE) if d in defects]
-    return not ordered, ordered
+        raise ValueError(f"unknown annotation kind {verdict.kind!r}")
+    if DEDUP in tags:
+        defects.add(REPETITIVE)
+    return [d for d in (IMPROPER_FORMAT, MISSING_IDENTIFIERS, REPETITIVE) if d in defects]
 
 
-def _canonical_target(text: str, kind: str, n: int) -> str:
-    if kind == RANKING:
-        permutation, _ = parse_ranking(text, n)
-        return canonical_ranking_text(permutation)
-    selected, pseudo, _ = parse_selection(text, n)
-    return canonical_selection_text(selected, pseudo)
+def validate_generation(text: str, kind: str, n: int) -> tuple[bool, list[str]]:
+    """Strict training-time validation of a raw teacher generation."""
+    defects = verdict_defects(verdict_from_text(text, kind, n))
+    return not defects, defects
+
+
+def annotate_query(
+    query: Query,
+    passages: Sequence[Passage],
+    judge: Judge,
+    cfg: WindowConfig,
+    templates: tuple[PromptTemplate, PromptTemplate] | None,
+    budget: PromptBudget | None,
+    *,
+    kind: str,
+) -> TrainingRecord:
+    """Judge one query's top ``cfg.depth`` passages in a single window.
+
+    A judge transport failure yields a failed record tagged ``transport``
+    instead of aborting the batch.
+    """
+    ranking_template, selection_template = templates or default_templates()
+    template = ranking_template if kind == RANKING else selection_template
+    window = passages[: cfg.depth]
+    prompt = render(template, query, window, budget)
+    try:
+        verdict = judge_window(judge, prompt, kind, len(window))
+    except JudgeTransportError as exc:
+        logger.warning("teacher unreachable for query %s: %s", query.query_id, exc)
+        raw_text, target_text, defects = "", "", [TRANSPORT]
+    else:
+        defects = verdict_defects(verdict)
+        raw_text = verdict.raw_text
+        target_text = "" if defects else canonical_text(verdict)
+    return TrainingRecord(
+        query_id=query.query_id,
+        kind=kind,
+        system_text=prompt.system,
+        prompt_text=prompt.user,
+        raw_text=raw_text,
+        target_text=target_text,
+        passed=not defects,
+        defects=defects,
+    )
 
 
 def annotate(
@@ -122,10 +154,9 @@ def annotate(
     """Judge each query's top candidates once and build training records.
 
     Annotation uses a single window, so the configured depth must not exceed
-    the window size; candidate lists are truncated to the depth. Queries are
-    independent and run concurrently up to ``parallel``; records come back
-    sorted by query_id regardless. A judge transport failure yields a failed
-    record tagged ``transport`` instead of aborting the batch.
+    the window size; candidate lists are truncated to the depth. Queries run
+    on the shared batch runner (``pipeline.run_batch``), so records come back
+    sorted by query_id regardless of ``parallel``.
     """
     if kind not in (RANKING, SELECTION):
         raise ValueError(f"unknown annotation kind {kind!r}")
@@ -134,55 +165,9 @@ def annotate(
             f"annotation is single-window: depth ({cfg.depth}) must be <= "
             f"window_size ({cfg.window_size})"
         )
-    ranking_template, selection_template = templates or default_templates()
-    template = ranking_template if kind == RANKING else selection_template
-
-    jobs: list[Query] = []
-    for query in sorted(queries, key=lambda q: q.query_id):
-        candidates = run.get(query.query_id)
-        if candidates is None or not candidates.entries:
-            logger.warning("no candidates for query %s; skipping", query.query_id)
-            continue
-        jobs.append(query)
-
-    def _one(query: Query) -> TrainingRecord:
-        candidates = run[query.query_id]
-        truncated = CandidateList(
-            query_id=candidates.query_id, entries=candidates.entries[: cfg.depth]
-        )
-        window = resolve_candidates(corpus, truncated)
-        n = len(window)
-        prompt = render(template, query, window, budget)
-        try:
-            verdict = judge.judge(prompt, kind, n)
-        except JudgeTransportError as exc:
-            logger.warning("teacher unreachable for query %s: %s", query.query_id, exc)
-            return TrainingRecord(
-                query_id=query.query_id,
-                kind=kind,
-                system_text=prompt.system,
-                prompt_text=prompt.user,
-                raw_text="",
-                target_text="",
-                passed=False,
-                defects=[TRANSPORT],
-            )
-        passed, defects = validate_generation(verdict.raw_text, kind, n)
-        return TrainingRecord(
-            query_id=query.query_id,
-            kind=kind,
-            system_text=prompt.system,
-            prompt_text=prompt.user,
-            raw_text=verdict.raw_text,
-            target_text=_canonical_target(verdict.raw_text, kind, n) if passed else "",
-            passed=passed,
-            defects=defects,
-        )
-
-    if parallel <= 1:
-        return [_one(q) for q in jobs]
-    with ThreadPoolExecutor(max_workers=parallel) as pool:
-        return list(pool.map(_one, jobs))
+    engine = partial(annotate_query, kind=kind)
+    batch = run_batch(engine, queries, run, corpus, judge, cfg, templates, budget, parallel)
+    return list(batch.results.values())
 
 
 def write_training_files(

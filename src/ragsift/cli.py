@@ -43,17 +43,21 @@ from .metrics import (
     ndcg_per_query,
     write_report,
 )
-from .pipeline import BatchResult, rerank_batch, select_batch
+from .pipeline import BatchResult, run_batch
 from .prompting import PromptBudget, TemplateError, load_templates
 from .windowing import (
-    SelectionResult,
     WindowConfig,
     cut,
+    rerank,
+    select,
     write_selection_file,
     write_traces,
 )
 
 logger = logging.getLogger(__name__)
+
+# input files hashed into the manifest of every batch command
+_BATCH_INPUT_FLAGS = ["corpus", "queries", "run", "qrels", "templates", "transcript"]
 
 
 @dataclass
@@ -158,18 +162,22 @@ def _report_failures(batch: BatchResult) -> int:
     return 0
 
 
-def cmd_rerank(args: argparse.Namespace) -> int:
+def _load_batch_inputs(args: argparse.Namespace):
+    """Load what every batch command judges: queries, run, corpus, judge, templates, budget."""
     corpus = load_corpus(args.corpus)
     queries = load_queries(args.queries)
     run = load_run(args.run, max_depth=args.depth)
     qrels = load_qrels(args.qrels) if args.qrels else None
-    cfg = _window_cfg(args)
     judge = _build_judge(args, qrels)
     templates = load_templates(args.templates)
     budget = PromptBudget(per_passage_tokens=args.passage_tokens)
+    return queries, run, corpus, judge, templates, budget
 
-    batch = rerank_batch(
-        queries, run, corpus, judge, cfg, templates, budget, parallel=args.parallel
+
+def cmd_rerank(args: argparse.Namespace) -> int:
+    queries, run, corpus, judge, templates, budget = _load_batch_inputs(args)
+    batch = run_batch(
+        rerank, queries, run, corpus, judge, _window_cfg(args), templates, budget, args.parallel
     )
     out = _out_dir(args)
     reranked = {
@@ -178,32 +186,21 @@ def cmd_rerank(args: argparse.Namespace) -> int:
     write_run(reranked, out / "run.trec", tag=args.tag)
     if args.trace:
         write_traces(batch.traces(), out / "trace.jsonl")
-    _manifest(args, ["corpus", "queries", "run", "qrels", "templates", "transcript"]).write(out)
+    _manifest(args, _BATCH_INPUT_FLAGS).write(out)
     print(f"reranked {len(batch.results)} queries -> {out / 'run.trec'}")
     return _report_failures(batch)
 
 
 def cmd_select(args: argparse.Namespace) -> int:
-    corpus = load_corpus(args.corpus)
-    queries = load_queries(args.queries)
-    run = load_run(args.run, max_depth=args.depth)
-    qrels = load_qrels(args.qrels) if args.qrels else None
-    cfg = _window_cfg(args)
-    judge = _build_judge(args, qrels)
-    templates = load_templates(args.templates)
-    budget = PromptBudget(per_passage_tokens=args.passage_tokens)
-
-    batch = select_batch(
-        queries, run, corpus, judge, cfg, templates, budget, parallel=args.parallel
+    queries, run, corpus, judge, templates, budget = _load_batch_inputs(args)
+    batch = run_batch(
+        select, queries, run, corpus, judge, _window_cfg(args), templates, budget, args.parallel
     )
     out = _out_dir(args)
-    selections = {
-        qid: res for qid, res in batch.results.items() if isinstance(res, SelectionResult)
-    }
-    write_selection_file(selections, out / "selected.jsonl")
+    write_selection_file(batch.results, out / "selected.jsonl")
     if args.trace:
         write_traces(batch.traces(), out / "trace.jsonl")
-    _manifest(args, ["corpus", "queries", "run", "qrels", "templates", "transcript"]).write(out)
+    _manifest(args, _BATCH_INPUT_FLAGS).write(out)
     print(f"selected for {len(batch.results)} queries -> {out / 'selected.jsonl'}")
     return _report_failures(batch)
 
@@ -263,15 +260,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
-    corpus = load_corpus(args.corpus)
-    queries = load_queries(args.queries)
-    run = load_run(args.run, max_depth=args.depth)
-    qrels = load_qrels(args.qrels) if args.qrels else None
-    cfg = WindowConfig(depth=args.depth, window_size=args.w, stride=min(args.s, args.w))
-    judge = _build_judge(args, qrels)
-    templates = load_templates(args.templates)
-    budget = PromptBudget(per_passage_tokens=args.passage_tokens)
-
+    queries, run, corpus, judge, templates, budget = _load_batch_inputs(args)
+    # annotation judges one window, so the stride never applies
+    cfg = WindowConfig(depth=args.depth, window_size=args.w, stride=1)
     records = annotate(
         queries, run, corpus, judge, args.kind, cfg, templates, budget, parallel=args.parallel
     )
@@ -279,7 +270,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     passed, rejected = write_training_files(
         records, out / "train.jsonl", out / "rejected.jsonl"
     )
-    _manifest(args, ["corpus", "queries", "run", "qrels", "templates", "transcript"]).write(out)
+    _manifest(args, _BATCH_INPUT_FLAGS).write(out)
     print(f"annotated {passed + rejected} queries: {passed} kept, {rejected} rejected -> {out}")
     return 0
 
@@ -385,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p)
     p.add_argument("--kind", choices=["ranking", "selection"], required=True)
     p.add_argument("--w", type=int, default=20, help="window size (default 20)")
-    p.add_argument("--s", type=int, default=10, help="stride (unused: annotation is one window)")
     p.add_argument("--depth", type=int, default=20, help="candidates per query (default 20)")
     _add_judge_flags(p)
     p.set_defaults(func=cmd_annotate)

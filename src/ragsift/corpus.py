@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -385,20 +385,3 @@ def check_run_resolves(corpus: Corpus, run: Mapping[str, CandidateList]) -> None
             + ", ".join(unresolved[:50])
         )
 
-
-@dataclass
-class Dataset:
-    """A fully loaded input bundle, convenient for pipelines and tests."""
-
-    corpus: Corpus
-    queries: list[Query]
-    run: dict[str, CandidateList]
-    qrels: Qrels | None = None
-    answers: dict[str, list[str]] = field(default_factory=dict)
-    evidence: dict[str, set[str]] = field(default_factory=dict)
-
-    def query_by_id(self, query_id: str) -> Query | None:
-        for q in self.queries:
-            if q.query_id == query_id:
-                return q
-        return None

@@ -19,6 +19,7 @@ from ragsift.judge import (
     SELECTION,
     Judge,
     JudgeTransportError,
+    JudgeVerdict,
     verdict_from_text,
 )
 from ragsift.windowing import WindowConfig
@@ -149,6 +150,15 @@ class TestAnnotate:
         records = annotate(queries, run, corpus, FailingJudge(), RANKING, WindowConfig(4, 4, 2))
         assert len(records) == 1
         assert not records[0].passed and records[0].defects == [TRANSPORT]
+
+    def test_invalid_verdict_is_rejected_like_the_engines(self):
+        class DuplicatingJudge(Judge):
+            def judge(self, prompt, kind, n):
+                return JudgeVerdict(kind=RANKING, raw_text="[1] > [2]", permutation=(1, 1))
+
+        corpus, queries, run = _mini_inputs(n_queries=1)
+        with pytest.raises(ValueError, match="not a permutation"):
+            annotate(queries, run, corpus, DuplicatingJudge(), RANKING, WindowConfig(4, 4, 2))
 
     def test_depth_must_fit_single_window(self):
         corpus, queries, run = _mini_inputs()

@@ -309,6 +309,33 @@ class TestAnnotateCommand:
         assert main(args + ["--judge", "replay", "--transcript", str(transcript), "--out", str(b)]) == 0
         assert (a / "train.jsonl").read_bytes() == (b / "train.jsonl").read_bytes()
 
+    def test_replay_gaps_become_transport_records(self, mini_dir, tmp_path):
+        args = ["annotate", *_mini_flags(mini_dir), "--kind", "ranking", "--depth", "4", "--w", "4"]
+        full, gappy = tmp_path / "full.jsonl", tmp_path / "gappy.jsonl"
+        record = ["--judge", "oracle", "--transcript", str(full), "--out", str(tmp_path / "rec")]
+        assert main(args + record) == 0
+        # recorded at --parallel 1, so line i answers the i-th query in id order
+        lines = full.read_text(encoding="utf-8").splitlines(keepends=True)
+        dropped = {1, 4, 5, 13}
+        kept = [line for i, line in enumerate(lines) if i not in dropped]
+        gappy.write_text("".join(kept), encoding="utf-8")
+        queries = (mini_dir / "queries.jsonl").read_text(encoding="utf-8").splitlines()
+        query_ids = sorted(json.loads(line)["query_id"] for line in queries)
+
+        outputs = []
+        for parallel in ("1", "4"):
+            out = tmp_path / f"replay{parallel}"
+            replay = ["--judge", "replay", "--transcript", str(gappy), "--parallel", parallel]
+            assert main(args + replay + ["--out", str(out)]) == 0
+            outputs.append([(out / name).read_bytes() for name in ("train.jsonl", "rejected.jsonl")])
+        assert outputs[0] == outputs[1]
+
+        train, rejected = (blob.decode("utf-8").splitlines() for blob in outputs[0])
+        assert len(train) == len(query_ids) - len(dropped)
+        records = [json.loads(line) for line in rejected]
+        assert [r["query_id"] for r in records] == [query_ids[i] for i in sorted(dropped)]
+        assert all(r["defects"] == ["transport"] for r in records)
+
 
 class TestSimulateCommand:
     @pytest.mark.parametrize("profile,expected", [("never", 5.0), ("always", 9.0)])

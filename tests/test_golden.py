@@ -1,0 +1,82 @@
+"""Golden bytes: every output of the mini dataset under the oracle judge.
+
+Outputs and recorded transcripts must stay byte-identical across refactors.
+Transcript bytes pin the rendered prompts, since ``ReplayJudge`` looks
+responses up by prompt hash: any change to rendering breaks recorded runs.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from ragsift.cli import main
+from tests.test_cli import _mini_flags
+
+GEOMETRY = {
+    "rerank": ["--depth", "10", "--w", "4", "--s", "2", "--trace"],
+    "select": ["--depth", "10", "--w", "4", "--s", "2", "--trace"],
+    "annotate-ranking": ["--kind", "ranking", "--depth", "4", "--w", "4"],
+    "annotate-selection": ["--kind", "selection", "--depth", "4", "--w", "4"],
+}
+
+OUTPUTS = {
+    "rerank": ("run.trec", "trace.jsonl"),
+    "select": ("selected.jsonl", "trace.jsonl"),
+    "annotate-ranking": ("train.jsonl", "rejected.jsonl"),
+    "annotate-selection": ("train.jsonl", "rejected.jsonl"),
+}
+
+GOLDEN = {
+    "rerank": {
+        "run.trec": "68567d5a3aa46e1034b954957d7b964827a7ede918dceb204214d2effd762036",
+        "trace.jsonl": "d48f9df0e9929380c9f10a90febf70bcad2a9e3826ea1c516a2691d857bcab3b",
+        "transcript.jsonl": "55351e6b4bca6e196f86b75b36c5621bb31966c97a16e040f10be592687ce49e",
+    },
+    "select": {
+        "selected.jsonl": "6662cded1b0ea5516d775e65e87cd5ada8174a52f852ec35ffd5beee159cfa54",
+        "trace.jsonl": "629897589bbb669c644c6670030e362aa6073bfd9f05cb76794b05328874945b",
+        "transcript.jsonl": "f377e1189fbd1428901bc2d5f43603a4897612a7b839a151a77d8dc2733afc30",
+    },
+    # the oracle writes canonical rankings, so every ranking record passes
+    "annotate-ranking": {
+        "train.jsonl": "9fbcfd06400f2b90604922799e5fdadb874995f9ce755ce61da11fd211497837",
+        "rejected.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "transcript.jsonl": "ff27bc4ca2f208091344bdd92d59831dbcef7a6a11f3f2248bbef4c4e53421e2",
+    },
+    # the oracle writes no pseudo answer, so every selection record is rejected
+    "annotate-selection": {
+        "train.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "rejected.jsonl": "7dfe45ddfaebb204183383edf9111bf87be002d691c0cf1a377a150964320f20",
+        "transcript.jsonl": "d5454d186fb342aa22f95290f567dcdee138ed9fd3b81bc661edf15efca96fcf",
+    },
+}
+
+
+def output_digests(name: str, mini_dir, tmp_path) -> dict[str, str]:
+    out = tmp_path / name
+    transcript = tmp_path / f"{name}-transcript.jsonl"
+    command = name.split("-")[0]
+    argv = [
+        command,
+        *_mini_flags(mini_dir),
+        *GEOMETRY[name],
+        "--judge",
+        "oracle",
+        "--parallel",
+        "1",
+        "--transcript",
+        str(transcript),
+        "--out",
+        str(out),
+    ]
+    assert main(argv) == 0
+    files = {f: out / f for f in OUTPUTS[name]}
+    files["transcript.jsonl"] = transcript
+    return {f: hashlib.sha256(p.read_bytes()).hexdigest() for f, p in files.items()}
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRY))
+def test_outputs_match_golden_bytes(name, mini_dir, tmp_path):
+    assert output_digests(name, mini_dir, tmp_path) == GOLDEN[name]

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import logging
+
 import pytest
 
 from ragsift.corpus import Corpus, LoadError, Passage, Query, ranking_to_candidates
 from ragsift.judge import Judge, JudgeTransportError, OracleJudge, verdict_from_text
-from ragsift.pipeline import rerank_batch, select_batch
-from ragsift.windowing import WindowConfig
+from ragsift.pipeline import run_batch
+from ragsift.windowing import WindowConfig, rerank, select
 from tests.conftest import make_qrels
 
 
@@ -45,14 +47,14 @@ class TestBatches:
     def test_skips_queries_without_candidates(self):
         corpus, queries, run, qrels = _inputs()
         del run["q2"]
-        batch = rerank_batch(queries, run, corpus, OracleJudge(qrels), CFG)
+        batch = run_batch(rerank, queries, run, corpus, OracleJudge(qrels), CFG)
         assert batch.skipped == ["q2"]
         assert sorted(batch.results) == ["q0", "q1", "q3"]
         assert batch.ok
 
     def test_transport_failure_recorded_not_fatal(self):
         corpus, queries, run, qrels = _inputs()
-        batch = rerank_batch(queries, run, corpus, FlakyJudge("q1"), CFG)
+        batch = run_batch(rerank, queries, run, corpus, FlakyJudge("q1"), CFG)
         assert not batch.ok
         assert [f.query_id for f in batch.failures] == ["q1"]
         assert batch.failures[0].partial_trace is not None
@@ -61,8 +63,8 @@ class TestBatches:
     def test_parallelism_does_not_change_results(self):
         corpus, queries, run, qrels = _inputs(n_queries=8)
         judge = OracleJudge(qrels)
-        serial = select_batch(queries, run, corpus, judge, CFG, parallel=1)
-        threaded = select_batch(queries, run, corpus, judge, CFG, parallel=4)
+        serial = run_batch(select, queries, run, corpus, judge, CFG, parallel=1)
+        threaded = run_batch(select, queries, run, corpus, judge, CFG, parallel=4)
         assert serial.results.keys() == threaded.results.keys()
         for qid in serial.results:
             assert serial.results[qid].selected_ids == threaded.results[qid].selected_ids
@@ -71,10 +73,20 @@ class TestBatches:
         corpus, queries, run, qrels = _inputs()
         run["q0"] = ranking_to_candidates("q0", ["ghost_doc"])
         with pytest.raises(LoadError, match="ghost_doc"):
-            rerank_batch(queries, run, corpus, OracleJudge(qrels), CFG)
+            run_batch(rerank, queries, run, corpus, OracleJudge(qrels), CFG)
 
     def test_traces_ordered_by_query_id(self):
         corpus, queries, run, qrels = _inputs()
-        batch = select_batch(list(reversed(queries)), run, corpus, OracleJudge(qrels), CFG)
+        batch = run_batch(select, list(reversed(queries)), run, corpus, OracleJudge(qrels), CFG)
         trace_ids = [t.query_id for t in batch.traces()]
         assert trace_ids == sorted(trace_ids)
+
+    def test_skipped_queries_summarised_in_one_warning(self, caplog):
+        corpus, queries, run, qrels = _inputs(n_queries=5)
+        for qid in ("q1", "q2", "q4"):
+            del run[qid]
+        with caplog.at_level(logging.WARNING):
+            batch = run_batch(rerank, queries, run, corpus, OracleJudge(qrels), CFG)
+        assert batch.skipped == ["q1", "q2", "q4"]
+        skips = [r.getMessage() for r in caplog.records if "no candidates" in r.getMessage()]
+        assert skips == ["skipped 3 queries with no candidates: q1, q2, q4"]
