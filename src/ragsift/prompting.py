@@ -128,7 +128,11 @@ class RenderedPrompt:
         return self.system + "\n\n" + self.user
 
     def char_count(self) -> int:
-        return len(self.full_text())
+        return len(self.system) + 2 + len(self.user)
+
+
+# matches up to and including the last whitespace before ``endpos``
+_THROUGH_LAST_WHITESPACE = re.compile(r".*\s", re.DOTALL)
 
 
 def _whitespace_boundaries(text: str) -> list[int]:
@@ -143,17 +147,18 @@ def truncate_text(text: str, budget: PromptBudget) -> str:
     characters. With an exact ``count_tokens`` callable, the longest
     whitespace-bounded prefix within budget is found by bisection (token
     counts are assumed non-decreasing in prefix length). A single oversized
-    token falls back to a hard character cut; Python slicing operates on code
-    points, so no unicode scalar is ever split.
+    token falls back to a hard character cut, and so, with the character
+    approximation, does one preceded only by whitespace; Python slicing
+    operates on code points, so no unicode scalar is ever split.
     """
     counter = budget.count_tokens
     if counter is None:
         limit = int(budget.per_passage_tokens * budget.chars_per_token)
         if len(text) <= limit:
             return text
-        head = text[:limit]
-        cut = max((b for b in _whitespace_boundaries(head)), default=-1)
-        return head[:cut].rstrip() if cut > 0 else head
+        m = _THROUGH_LAST_WHITESPACE.match(text, 0, limit)
+        kept = text[: m.end() - 1].rstrip() if m else ""
+        return kept or text[:limit]
 
     if counter(text) <= budget.per_passage_tokens:
         return text

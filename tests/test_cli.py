@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ragsift
 from ragsift.cli import main
 from ragsift.corpus import load_run
 from ragsift.windowing import read_selection_file
@@ -374,10 +377,14 @@ class TestSimulateCommand:
 
 class TestEntryPoints:
     def test_module_invocation(self, tmp_path):
+        # the child imports the same package as this process, installed or not
+        source_root = str(Path(ragsift.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "ragsift", "--version"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert result.returncode == 0
         assert "ragsift" in result.stdout

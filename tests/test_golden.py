@@ -17,6 +17,9 @@ from tests.test_cli import _mini_flags
 GEOMETRY = {
     "rerank": ["--depth", "10", "--w", "4", "--s", "2", "--trace"],
     "select": ["--depth", "10", "--w", "4", "--s", "2", "--trace"],
+    # a 32-character cut truncates every mini passage
+    "rerank-truncated": ["--depth", "10", "--w", "4", "--s", "2", "--trace", "--passage-tokens", "8"],
+    "select-truncated": ["--depth", "10", "--w", "4", "--s", "2", "--trace", "--passage-tokens", "8"],
     "annotate-ranking": ["--kind", "ranking", "--depth", "4", "--w", "4"],
     "annotate-selection": ["--kind", "selection", "--depth", "4", "--w", "4"],
 }
@@ -24,6 +27,8 @@ GEOMETRY = {
 OUTPUTS = {
     "rerank": ("run.trec", "trace.jsonl"),
     "select": ("selected.jsonl", "trace.jsonl"),
+    "rerank-truncated": ("run.trec", "trace.jsonl"),
+    "select-truncated": ("selected.jsonl", "trace.jsonl"),
     "annotate-ranking": ("train.jsonl", "rejected.jsonl"),
     "annotate-selection": ("train.jsonl", "rejected.jsonl"),
 }
@@ -38,6 +43,17 @@ GOLDEN = {
         "selected.jsonl": "6662cded1b0ea5516d775e65e87cd5ada8174a52f852ec35ffd5beee159cfa54",
         "trace.jsonl": "629897589bbb669c644c6670030e362aa6073bfd9f05cb76794b05328874945b",
         "transcript.jsonl": "f377e1189fbd1428901bc2d5f43603a4897612a7b839a151a77d8dc2733afc30",
+    },
+    # truncation changes only the prompts: outputs and traces match the untruncated runs
+    "rerank-truncated": {
+        "run.trec": "68567d5a3aa46e1034b954957d7b964827a7ede918dceb204214d2effd762036",
+        "trace.jsonl": "d48f9df0e9929380c9f10a90febf70bcad2a9e3826ea1c516a2691d857bcab3b",
+        "transcript.jsonl": "71dc43cca1eb6cc30cfb39e3e50d7bad0a18e4f1c9c567f180b9ba24844a421f",
+    },
+    "select-truncated": {
+        "selected.jsonl": "6662cded1b0ea5516d775e65e87cd5ada8174a52f852ec35ffd5beee159cfa54",
+        "trace.jsonl": "629897589bbb669c644c6670030e362aa6073bfd9f05cb76794b05328874945b",
+        "transcript.jsonl": "8379da7250e43189360017069e4d728ae981411e1bf2e76d3e2fdfec10d66322",
     },
     # the oracle writes canonical rankings, so every ranking record passes
     "annotate-ranking": {

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import string
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ragsift.corpus import Passage, Query
@@ -20,6 +22,25 @@ from tests.conftest import QUERY, make_passages
 def whitespace_token_count(text: str) -> int:
     # independent oracle for truncation checks
     return len(text.split())
+
+
+def scan_truncate(text: str, limit: int) -> str:
+    """Reference for the character-budget path: scan every offset for the last whitespace.
+
+    Text that is over budget and has nothing but whitespace before its cut gets the hard cut.
+    """
+    if len(text) <= limit:
+        return text
+    head = text[:limit]
+    cut = max((i for i, c in enumerate(head) if c.isspace()), default=-1)
+    kept = head[:cut].rstrip() if cut > 0 else ""
+    return kept or head
+
+
+# ASCII, C1 and Unicode whitespace, plus U+200B, which str.isspace does not count
+TRUNCATION_ALPHABET = (
+    string.ascii_letters + " \t\n\x0b\x0c\r\x1c\x1f\x85\xa0\u2028\u3000" + "\u200b"
+)
 
 
 class TestRender:
@@ -101,6 +122,33 @@ class TestTruncation:
         text = "x" * 5000
         out = truncate_text(text, PromptBudget(per_passage_tokens=10, chars_per_token=4.0))
         assert out == "x" * 40
+
+    @pytest.mark.parametrize("lead", [" ", "  ", "\n\n", " \n\t"])
+    def test_whitespace_led_unbreakable_token_hard_cut(self, lead):
+        text = lead + "x" * 100
+        out = truncate_text(text, PromptBudget(per_passage_tokens=10))
+        assert out == text[:40]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.text(alphabet=TRUNCATION_ALPHABET, max_size=60),
+        st.integers(1, 12),
+        st.sampled_from([1.0, 2.5, 4.0]),
+    )
+    @example("ab cd", 3, 4.0)  # under the limit
+    @example("ab\ncd ef", 2, 3.0)  # the last whitespace is not a space
+    @example("ab cd\tef", 2, 3.0)
+    @example("\u3000" + "x" * 20, 3, 4.0)  # whitespace only at index 0
+    @example("  " + "x" * 20, 3, 4.0)
+    @example("x\u200by" * 10, 3, 4.0)  # no whitespace at all
+    def test_char_budget_matches_scan_reference(self, text, tokens, chars_per_token):
+        budget = PromptBudget(per_passage_tokens=tokens, chars_per_token=chars_per_token)
+        out = truncate_text(text, budget)
+        assert out == scan_truncate(text, int(tokens * chars_per_token))
+        ranking, _ = default_templates()
+        prompt = render(ranking, QUERY, [Passage("d1", text)], budget)
+        assert prompt.user.startswith(f"[1] {out}\n\n")
+        assert prompt.char_count() == len(prompt.full_text())
 
     @settings(max_examples=150, deadline=None)
     @given(st.text(min_size=0, max_size=400), st.integers(1, 40))
