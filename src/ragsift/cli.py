@@ -14,6 +14,7 @@ import hashlib
 import json
 import logging
 import sys
+from contextlib import closing
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -21,6 +22,7 @@ from pathlib import Path
 from . import __version__
 from .annotate import annotate, write_training_files
 from .corpus import (
+    CandidateList,
     LoadError,
     evidence_from_qrels,
     load_answers,
@@ -176,9 +178,9 @@ def _load_batch_inputs(args: argparse.Namespace):
 
 def cmd_rerank(args: argparse.Namespace) -> int:
     queries, run, corpus, judge, templates, budget = _load_batch_inputs(args)
-    batch = run_batch(
-        rerank, queries, run, corpus, judge, _window_cfg(args), templates, budget, args.parallel
-    )
+    cfg = _window_cfg(args)
+    with closing(judge):
+        batch = run_batch(rerank, queries, run, corpus, judge, cfg, templates, budget, args.parallel)
     out = _out_dir(args)
     reranked = {
         qid: ranking_to_candidates(qid, res.ranked_ids) for qid, res in batch.results.items()
@@ -193,9 +195,9 @@ def cmd_rerank(args: argparse.Namespace) -> int:
 
 def cmd_select(args: argparse.Namespace) -> int:
     queries, run, corpus, judge, templates, budget = _load_batch_inputs(args)
-    batch = run_batch(
-        select, queries, run, corpus, judge, _window_cfg(args), templates, budget, args.parallel
-    )
+    cfg = _window_cfg(args)
+    with closing(judge):
+        batch = run_batch(select, queries, run, corpus, judge, cfg, templates, budget, args.parallel)
     out = _out_dir(args)
     write_selection_file(batch.results, out / "selected.jsonl")
     if args.trace:
@@ -217,6 +219,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         report.answers = evaluate_answers(load_predictions(args.predictions), load_answers(args.answers))
 
     selected: dict[str, list[str]] | None = None
+    run: dict[str, CandidateList] | None = None
     if args.selection:
         selected = read_selection_file(args.selection)
     elif args.run and args.k:
@@ -238,7 +241,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             raise LoadError("nDCG requested (--ndcg-k) but no --run file given")
         if qrels is None:
             raise LoadError("nDCG requested (--ndcg-k) but no --qrels file given")
-        run = load_run(args.run, max_depth=args.depth)
+        if run is None:
+            run = load_run(args.run, max_depth=args.depth)
         report.ndcg = {k: ndcg_at_k(run, qrels, k) for k in args.ndcg_k}
         report.ndcg_queries = {k: ndcg_per_query(run, qrels, k) for k in args.ndcg_k}
 
@@ -263,9 +267,10 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     queries, run, corpus, judge, templates, budget = _load_batch_inputs(args)
     # annotation judges one window, so the stride never applies
     cfg = WindowConfig(depth=args.depth, window_size=args.w, stride=1)
-    records = annotate(
-        queries, run, corpus, judge, args.kind, cfg, templates, budget, parallel=args.parallel
-    )
+    with closing(judge):
+        records = annotate(
+            queries, run, corpus, judge, args.kind, cfg, templates, budget, parallel=args.parallel
+        )
     out = _out_dir(args)
     passed, rejected = write_training_files(
         records, out / "train.jsonl", out / "rejected.jsonl"

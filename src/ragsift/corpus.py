@@ -11,9 +11,11 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 logger = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 
 class LoadError(ValueError):
@@ -59,12 +61,16 @@ class CandidateList:
 class Corpus:
     """Immutable doc_id -> Passage index."""
 
-    def __init__(self, passages: Iterable[Passage]):
+    def __init__(self, passages: Iterable[Passage] = ()):
         self._by_id: dict[str, Passage] = {}
         for p in passages:
-            if p.doc_id in self._by_id:
-                raise LoadError(f"duplicate doc_id {p.doc_id}")
-            self._by_id[p.doc_id] = p
+            self._add(p)
+
+    def _add(self, passage: Passage, where: str = "") -> None:
+        # ``where`` locates the passage in its file for the duplicate message
+        if passage.doc_id in self._by_id:
+            raise LoadError(f"duplicate doc_id {passage.doc_id}{where}")
+        self._by_id[passage.doc_id] = passage
 
     def __len__(self) -> int:
         return len(self._by_id)
@@ -74,12 +80,6 @@ class Corpus:
 
     def __getitem__(self, doc_id: str) -> Passage:
         return self._by_id[doc_id]
-
-    def get(self, doc_id: str) -> Passage | None:
-        return self._by_id.get(doc_id)
-
-    def __iter__(self) -> Iterator[Passage]:
-        return iter(self._by_id.values())
 
 
 class Qrels:
@@ -113,10 +113,16 @@ class Qrels:
 
 
 # ---------------------------------------------------------------------------
-# loaders
+# line readers: every line-oriented input file is read through one of these two
 
 
-def _jsonl_records(path: Path) -> Iterator[tuple[int, dict]]:
+def jsonl_records(path: Path) -> Iterator[tuple[int, dict]]:
+    """Yield ``(line number, object)`` for each non-blank line of a JSONL file.
+
+    Raises:
+        LoadError: on a line that is not JSON or not a JSON object, naming
+            the file and the line.
+    """
     with path.open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
@@ -130,15 +136,52 @@ def _jsonl_records(path: Path) -> Iterator[tuple[int, dict]]:
             yield lineno, record
 
 
-def _infer_format(path: Path, format: str | None) -> str:
-    if format is not None:
-        if format not in ("jsonl", "tsv"):
-            raise LoadError(f"unknown corpus format {format!r} (expected jsonl or tsv)")
-        return format
-    return "tsv" if path.suffix.lower() == ".tsv" else "jsonl"
+def delimited_rows(
+    path: Path, min_columns: int, sep: str | None = None
+) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(line number, columns)`` for each non-blank line of a column file.
+
+    A tab ``sep`` splits TSV (the newline is not part of the last column);
+    the default ``None`` splits TREC files on runs of whitespace.
+
+    Raises:
+        LoadError: on a row with fewer than ``min_columns`` columns, naming
+            the file and the line.
+    """
+    with path.open(encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            parts = (line.rstrip("\n") if sep else line).split(sep)
+            if len(parts) < min_columns:
+                if not line.strip():
+                    continue
+                raise LoadError(f"{path}: expected {min_columns} columns at line {lineno}")
+            yield lineno, parts
 
 
-def load_corpus(path: str | Path, format: str | None = None) -> Corpus:
+# ---------------------------------------------------------------------------
+# loaders
+
+
+def _id_text_records(path: Path, id_field: str) -> Iterator[tuple[int, str, str, str | None]]:
+    """Yield ``(line number, id, text, title)`` from JSONL ``{<id_field>|_id,
+    text, title?}`` or, for a ``.tsv`` file, ``id<TAB>text[<TAB>title]``."""
+    tsv = path.suffix.lower() == ".tsv"
+    for lineno, rec in delimited_rows(path, 2, "\t") if tsv else jsonl_records(path):
+        if tsv:
+            rid, text, title = rec[0], rec[1], rec[2] if len(rec) > 2 and rec[2] else None
+        else:
+            rid = rec.get(id_field, rec.get("_id"))
+            if rid is None:
+                raise LoadError(f"{path}: missing {id_field} field at line {lineno}")
+            if "text" not in rec:
+                raise LoadError(f"{path}: missing text field at line {lineno}")
+            rid, text, title = str(rid), str(rec["text"]), rec.get("title")
+        if not rid:
+            raise LoadError(f"{path}: empty {id_field} at line {lineno}")
+        yield lineno, rid, text, title
+
+
+def load_corpus(path: str | Path) -> Corpus:
     """Load a passage corpus from JSONL (``doc_id``/``_id``, ``text``, optional
     ``title``) or two/three column TSV (``doc_id<TAB>text[<TAB>title]``).
 
@@ -147,72 +190,23 @@ def load_corpus(path: str | Path, format: str | None = None) -> Corpus:
             the line.
     """
     path = Path(path)
-    fmt = _infer_format(path, format)
-    passages: list[Passage] = []
-    seen: set[str] = set()
-
-    def _add(doc_id: str, text: str, title: str | None, lineno: int) -> None:
-        if not doc_id:
-            raise LoadError(f"{path}: empty doc_id at line {lineno}")
-        if doc_id in seen:
-            raise LoadError(f"duplicate doc_id {doc_id} at line {lineno}")
+    corpus = Corpus()
+    for lineno, doc_id, text, title in _id_text_records(path, "doc_id"):
         if not text.strip():
             raise LoadError(f"{path}: empty text for doc_id {doc_id} at line {lineno}")
-        seen.add(doc_id)
-        passages.append(Passage(doc_id=doc_id, text=text, title=title))
-
-    if fmt == "jsonl":
-        for lineno, rec in _jsonl_records(path):
-            doc_id = rec.get("doc_id", rec.get("_id"))
-            if doc_id is None:
-                raise LoadError(f"{path}: missing doc_id field at line {lineno}")
-            if "text" not in rec:
-                raise LoadError(f"{path}: missing text field at line {lineno}")
-            _add(str(doc_id), str(rec["text"]), rec.get("title"), lineno)
-    else:
-        with path.open(encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) < 2:
-                    raise LoadError(f"{path}: missing text field at line {lineno}")
-                title = parts[2] if len(parts) > 2 and parts[2] else None
-                _add(parts[0], parts[1], title, lineno)
-
-    return Corpus(passages)
+        corpus._add(Passage(doc_id, text, title), f" at line {lineno} of {path}")
+    return corpus
 
 
 def load_queries(path: str | Path) -> list[Query]:
     """Load queries from JSONL (``query_id``/``_id`` and ``text``) or TSV."""
     path = Path(path)
-    queries: list[Query] = []
-    seen: set[str] = set()
-
-    def _add(query_id: str, text: str, lineno: int) -> None:
-        if query_id in seen:
-            raise LoadError(f"duplicate query_id {query_id} at line {lineno}")
-        seen.add(query_id)
-        queries.append(Query(query_id=query_id, text=text))
-
-    if path.suffix.lower() == ".tsv":
-        with path.open(encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) < 2:
-                    raise LoadError(f"{path}: missing text field at line {lineno}")
-                _add(parts[0], parts[1], lineno)
-    else:
-        for lineno, rec in _jsonl_records(path):
-            qid = rec.get("query_id", rec.get("_id"))
-            if qid is None or "text" not in rec:
-                raise LoadError(f"{path}: missing query_id or text at line {lineno}")
-            _add(str(qid), str(rec["text"]), lineno)
-    return queries
+    queries: dict[str, Query] = {}
+    for lineno, query_id, text, _ in _id_text_records(path, "query_id"):
+        if query_id in queries:
+            raise LoadError(f"{path}: duplicate query_id {query_id} at line {lineno}")
+        queries[query_id] = Query(query_id, text)
+    return list(queries.values())
 
 
 def load_run(path: str | Path, max_depth: int = 100) -> dict[str, CandidateList]:
@@ -226,31 +220,24 @@ def load_run(path: str | Path, max_depth: int = 100) -> dict[str, CandidateList]
     path = Path(path)
     if max_depth < 1:
         raise LoadError(f"max_depth must be positive, got {max_depth}")
-    raw: dict[str, list[CandidateEntry]] = {}
-    seen_pairs: set[tuple[str, str]] = set()
-
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) < 6:
-                raise LoadError(f"{path}: expected 6 columns at line {lineno}")
-            qid, _, doc_id, rank_s, score_s = parts[0], parts[1], parts[2], parts[3], parts[4]
-            try:
-                rank = int(rank_s)
-                score = float(score_s)
-            except ValueError as exc:
-                raise LoadError(
-                    f"{path}: non-numeric rank/score at line {lineno}: {exc}"
-                ) from exc
-            if (qid, doc_id) in seen_pairs:
-                raise LoadError(f"{path}: duplicate (qid, docid) ({qid}, {doc_id}) at line {lineno}")
-            seen_pairs.add((qid, doc_id))
-            raw.setdefault(qid, []).append(CandidateEntry(doc_id=doc_id, score=score, rank=rank))
+    raw: dict[str, dict[str, CandidateEntry]] = {}
+    for lineno, parts in delimited_rows(path, 6):
+        qid, doc_id = parts[0], parts[2]
+        try:
+            rank = int(parts[3])
+            score = float(parts[4])
+        except ValueError as exc:
+            raise LoadError(f"{path}: non-numeric rank/score at line {lineno}: {exc}") from exc
+        entries = raw.get(qid)
+        if entries is None:
+            entries = raw[qid] = {}
+        elif doc_id in entries:
+            raise LoadError(f"{path}: duplicate (qid, docid) ({qid}, {doc_id}) at line {lineno}")
+        entries[doc_id] = CandidateEntry(doc_id=doc_id, score=score, rank=rank)
 
     run: dict[str, CandidateList] = {}
-    for qid, entries in raw.items():
+    for qid, by_doc in raw.items():
+        entries = list(by_doc.values())
         ordered = sorted(entries, key=lambda e: e.rank)
         if ordered != entries:
             logger.warning("run %s: line order disagrees with ranks for query %s", path, qid)
@@ -292,55 +279,58 @@ def load_qrels(path: str | Path) -> Qrels:
     path = Path(path)
     qrels = Qrels()
     seen: set[tuple[str, str]] = set()
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) < 4:
-                raise LoadError(f"{path}: expected 4 columns at line {lineno}")
-            qid, _, doc_id, grade_s = parts[0], parts[1], parts[2], parts[3]
-            try:
-                grade = int(grade_s)
-            except ValueError as exc:
-                raise LoadError(f"{path}: non-integer grade at line {lineno}") from exc
-            if grade < 0:
-                raise LoadError(f"{path}: negative grade at line {lineno}")
-            if (qid, doc_id) in seen:
-                raise LoadError(f"{path}: duplicate qrels pair ({qid}, {doc_id}) at line {lineno}")
-            seen.add((qid, doc_id))
-            qrels.set_grade(qid, doc_id, grade)
+    for lineno, parts in delimited_rows(path, 4):
+        qid, doc_id = parts[0], parts[2]
+        try:
+            grade = int(parts[3])
+        except ValueError as exc:
+            raise LoadError(f"{path}: non-integer grade at line {lineno}") from exc
+        if grade < 0:
+            raise LoadError(f"{path}: negative grade at line {lineno}")
+        if (qid, doc_id) in seen:
+            raise LoadError(f"{path}: duplicate qrels pair ({qid}, {doc_id}) at line {lineno}")
+        seen.add((qid, doc_id))
+        qrels.set_grade(qid, doc_id, grade)
     return qrels
+
+
+def load_query_field(path: str | Path, field: str, convert: Callable[[Any], T]) -> dict[str, T]:
+    """Read JSONL ``{query_id, <field>}`` records into ``query_id -> convert(value)``.
+
+    Raises:
+        LoadError: on a missing field, a second record for one query, or a
+            value ``convert`` rejects with ``ValueError``, naming the line.
+    """
+    path = Path(path)
+    out: dict[str, T] = {}
+    for lineno, rec in jsonl_records(path):
+        qid, value = rec.get("query_id"), rec.get(field)
+        if qid is None or value is None:
+            raise LoadError(f"{path}: missing query_id or {field} at line {lineno}")
+        qid = str(qid)
+        if qid in out:
+            raise LoadError(f"{path}: duplicate query {qid} at line {lineno}")
+        try:
+            out[qid] = convert(value)
+        except ValueError as exc:
+            raise LoadError(f"{path}: {field} {exc} at line {lineno}") from exc
+    return out
+
+
+def _string_list(value: Any) -> list[str]:
+    if not isinstance(value, list) or not value:
+        raise ValueError("must be a non-empty list")
+    return [str(v) for v in value]
 
 
 def load_answers(path: str | Path) -> dict[str, list[str]]:
     """Load gold answers: JSONL ``{query_id, answers: [str, ...]}``."""
-    path = Path(path)
-    answers: dict[str, list[str]] = {}
-    for lineno, rec in _jsonl_records(path):
-        qid = rec.get("query_id")
-        refs = rec.get("answers")
-        if qid is None or refs is None:
-            raise LoadError(f"{path}: missing query_id or answers at line {lineno}")
-        if not isinstance(refs, list) or not refs:
-            raise LoadError(f"{path}: answers must be a non-empty list at line {lineno}")
-        answers[str(qid)] = [str(a) for a in refs]
-    return answers
+    return load_query_field(path, "answers", _string_list)
 
 
 def load_evidence(path: str | Path) -> dict[str, set[str]]:
     """Load gold evidence: JSONL ``{query_id, evidence: [doc_id, ...]}``."""
-    path = Path(path)
-    evidence: dict[str, set[str]] = {}
-    for lineno, rec in _jsonl_records(path):
-        qid = rec.get("query_id")
-        docs = rec.get("evidence")
-        if qid is None or docs is None:
-            raise LoadError(f"{path}: missing query_id or evidence at line {lineno}")
-        if not isinstance(docs, list) or not docs:
-            raise LoadError(f"{path}: evidence must be a non-empty list at line {lineno}")
-        evidence[str(qid)] = {str(d) for d in docs}
-    return evidence
+    return load_query_field(path, "evidence", lambda v: set(_string_list(v)))
 
 
 def evidence_from_qrels(qrels: Qrels, threshold: int = 1) -> dict[str, set[str]]:

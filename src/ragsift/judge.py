@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import Qrels
+from .corpus import LoadError, Qrels, jsonl_records
 from .prompting import RenderedPrompt
 
 logger = logging.getLogger(__name__)
@@ -226,6 +226,9 @@ class Judge:
     def judge(self, prompt: RenderedPrompt, kind: str, n: int) -> JudgeVerdict:
         raise NotImplementedError
 
+    def close(self) -> None:
+        """Release what the judge holds open; a no-op unless it owns a connection."""
+
 
 def judge_window(judge: Judge, prompt: RenderedPrompt, kind: str, n: int) -> JudgeVerdict:
     """Run one window through a judge and validate the verdict invariants."""
@@ -392,6 +395,9 @@ class RemoteJudge(Judge):
         text = self._complete(prompt)
         return verdict_from_text(text, kind, n)
 
+    def close(self) -> None:
+        self._session.close()
+
 
 def prompt_sha256(prompt: RenderedPrompt) -> str:
     return hashlib.sha256(prompt.full_text().encode("utf-8")).hexdigest()
@@ -402,12 +408,13 @@ class ReplayJudge(Judge):
 
     def __init__(self, transcript_path: str | Path):
         self._responses: dict[str, str] = {}
-        with Path(transcript_path).open(encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                rec = json.loads(line)
-                self._responses[rec["prompt_sha256"]] = rec["response_text"]
+        for lineno, rec in jsonl_records(Path(transcript_path)):
+            digest, text = rec.get("prompt_sha256"), rec.get("response_text")
+            if not isinstance(digest, str) or not isinstance(text, str):
+                raise LoadError(
+                    f"{transcript_path}: missing prompt_sha256 or response_text at line {lineno}"
+                )
+            self._responses[digest] = text
 
     def __len__(self) -> int:
         return len(self._responses)
@@ -437,3 +444,6 @@ class RecordingJudge(Judge):
         with self._lock, self._path.open("a", encoding="utf-8") as fh:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
         return verdict
+
+    def close(self) -> None:
+        self.inner.close()

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import CandidateList, LoadError, Qrels, _jsonl_records
+from .corpus import CandidateList, Qrels, load_query_field
 
 _ARTICLES = {"a", "an", "the"}
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
@@ -196,16 +196,7 @@ def ndcg_per_query(run: Mapping[str, CandidateList], qrels: Qrels, k: int) -> di
 
 def load_predictions(path: str | Path) -> dict[str, str]:
     """Load answer predictions: JSONL ``{query_id, answer}``, one per query."""
-    predictions: dict[str, str] = {}
-    for lineno, rec in _jsonl_records(Path(path)):
-        qid = rec.get("query_id")
-        answer = rec.get("answer")
-        if qid is None or answer is None:
-            raise LoadError(f"{path}: missing query_id or answer at line {lineno}")
-        if str(qid) in predictions:
-            raise LoadError(f"{path}: duplicate prediction for query {qid} at line {lineno}")
-        predictions[str(qid)] = str(answer)
-    return predictions
+    return load_query_field(path, "answer", str)
 
 
 @dataclass

@@ -8,6 +8,7 @@ always produce byte-identical prompts.
 
 from __future__ import annotations
 
+import bisect
 import re
 import string
 from dataclasses import dataclass, field
@@ -145,10 +146,11 @@ def truncate_text(text: str, budget: PromptBudget) -> str:
     With the default character approximation the cut point is the last
     whitespace at or before ``per_passage_tokens * chars_per_token``
     characters. With an exact ``count_tokens`` callable, the longest
-    whitespace-bounded prefix within budget is found by bisection (token
-    counts are assumed non-decreasing in prefix length). A single oversized
-    token falls back to a hard character cut, and so, with the character
-    approximation, does one preceded only by whitespace; Python slicing
+    non-empty whitespace-bounded prefix within budget is found by bisection
+    (token counts are assumed non-decreasing in prefix length). A first token
+    over budget, alone or preceded only by whitespace, falls back to a hard
+    character cut: the character limit with the approximation, the longest
+    prefix the counter accepts with ``count_tokens``. Python slicing
     operates on code points, so no unicode scalar is ever split.
     """
     counter = budget.count_tokens
@@ -160,21 +162,18 @@ def truncate_text(text: str, budget: PromptBudget) -> str:
         kept = text[: m.end() - 1].rstrip() if m else ""
         return kept or text[:limit]
 
-    if counter(text) <= budget.per_passage_tokens:
+    limit = budget.per_passage_tokens
+    if counter(text) <= limit:
         return text
-    boundaries = _whitespace_boundaries(text)
-    lo, hi, best = 0, len(boundaries) - 1, -1
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        if counter(text[: boundaries[mid]].rstrip()) <= budget.per_passage_tokens:
-            best = mid
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    if best >= 0:
-        return text[: boundaries[best]].rstrip()
-    # even the first whitespace-bounded prefix is over budget
-    return text[: int(budget.per_passage_tokens * budget.chars_per_token)]
+    # whitespace inside the leading run would cut an empty prefix
+    start = len(text) - len(text.lstrip())
+    cuts = [b for b in _whitespace_boundaries(text) if b > start]
+    fit = bisect.bisect_right(cuts, limit, key=lambda b: counter(text[:b].rstrip()))
+    if fit:
+        return text[: cuts[fit - 1]].rstrip()
+    # even the first token is over budget: the longest prefix the counter accepts
+    ends = range(1, len(text) + 1)
+    return text[: bisect.bisect_right(ends, limit, key=lambda e: counter(text[:e]))]
 
 
 def render(

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import Passage, Query
+from .corpus import Passage, Query, load_query_field
 from .judge import (
     RANKING,
     SELECTION,
@@ -365,11 +365,10 @@ def write_selection_file(results: dict[str, SelectionResult], path: str | Path) 
 
 def read_selection_file(path: str | Path) -> dict[str, list[str]]:
     """Read a selection JSONL back into query_id -> selected doc ids."""
-    out: dict[str, list[str]] = {}
-    with Path(path).open(encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            out[str(rec["query_id"])] = [str(d) for d in rec["selected"]]
-    return out
+    return load_query_field(path, "selected", _doc_id_list)
+
+
+def _doc_id_list(value: object) -> list[str]:
+    if not isinstance(value, list):
+        raise ValueError("must be a list")
+    return [str(d) for d in value]

@@ -11,6 +11,7 @@ import pytest
 import ragsift
 from ragsift.cli import main
 from ragsift.corpus import load_run
+from ragsift.judge import OracleJudge
 from ragsift.windowing import read_selection_file
 
 
@@ -269,6 +270,19 @@ class TestEvaluateCommand:
     def test_nothing_requested_fails(self, tmp_path, capsys):
         assert main(["evaluate", "--out", str(tmp_path / "x")]) == 1
 
+    def test_run_loaded_once_for_k_and_ndcg(self, mini_dir, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_load_run(*args, **kwargs):
+            calls.append(args)
+            return load_run(*args, **kwargs)
+
+        monkeypatch.setattr("ragsift.cli.load_run", counting_load_run)
+        flags = ["--run", str(mini_dir / "run.trec"), "--qrels", str(mini_dir / "qrels.txt")]
+        code = main(["evaluate", *flags, "--k", "5", "--ndcg-k", "10", "--out", str(tmp_path)])
+        assert code == 0
+        assert len(calls) == 1
+
 
 class TestAnnotateCommand:
     def test_oracle_ranking_annotation(self, mini_dir, tmp_path):
@@ -375,7 +389,41 @@ class TestSimulateCommand:
         assert lo <= report["mean_windows"] <= hi
 
 
+class TestMalformedInputs:
+    @pytest.mark.parametrize(
+        "flag, line",
+        [
+            ("selection", '{"query_id": "q1"}'),
+            ("transcript", '{"prompt_sha256": "ab"}'),
+            ("transcript", "not json"),
+        ],
+        ids=["selection-missing-field", "transcript-missing-field", "transcript-bad-json"],
+    )
+    def test_bad_line_exits_1_naming_file_and_line(self, mini_dir, tmp_path, capsys, flag, line):
+        bad = tmp_path / f"{flag}.jsonl"
+        bad.write_text(line + "\n", encoding="utf-8")
+        if flag == "selection":
+            command = ["evaluate", "--selection", str(bad), "--qrels", str(mini_dir / "qrels.txt")]
+        else:
+            command = ["select", *_mini_flags(mini_dir), "--judge", "replay", "--transcript", str(bad)]
+        code = main([*command, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {bad}: ")
+        assert "line 1" in err
+        assert "Traceback" not in err
+
+
 class TestEntryPoints:
+    def test_batch_commands_close_the_judge(self, mini_dir, tmp_path, monkeypatch):
+        closed = []
+        monkeypatch.setattr(OracleJudge, "close", lambda self: closed.append(self), raising=False)
+        base = [*_mini_flags(mini_dir), "--judge", "oracle", "--depth", "10"]
+        assert main(["rerank", *base, "--out", str(tmp_path / "r")]) == 0
+        assert main(["select", *base, "--out", str(tmp_path / "s")]) == 0
+        assert main(["annotate", *base, "--kind", "ranking", "--out", str(tmp_path / "a")]) == 0
+        assert len(closed) == 3
+
     def test_module_invocation(self, tmp_path):
         # the child imports the same package as this process, installed or not
         source_root = str(Path(ragsift.__file__).resolve().parents[1])

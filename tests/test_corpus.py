@@ -22,6 +22,9 @@ from ragsift.corpus import (
     resolve_candidates,
     write_run,
 )
+from ragsift.judge import ReplayJudge
+from ragsift.metrics import load_predictions
+from ragsift.windowing import read_selection_file
 
 
 def _write(tmp_path, name, text):
@@ -190,3 +193,73 @@ class TestResolution:
         path = _write(tmp_path, "q.jsonl", '{"query_id": "q1", "text": "hello"}\n')
         queries = load_queries(path)
         assert queries[0].query_id == "q1" and queries[0].text == "hello"
+
+
+# reader name -> (reader, file name, a valid first line)
+READERS = {
+    "corpus-jsonl": (load_corpus, "c.jsonl", '{"doc_id": "d1", "text": "one"}'),
+    "corpus-tsv": (load_corpus, "c.tsv", "d1\tone"),
+    "queries-jsonl": (load_queries, "q.jsonl", '{"query_id": "q1", "text": "one"}'),
+    "queries-tsv": (load_queries, "q.tsv", "q1\tone"),
+    "run": (load_run, "r.trec", "q1 Q0 d1 1 2.0 x"),
+    "qrels": (load_qrels, "qrels.txt", "q1 0 d1 1"),
+    "answers": (load_answers, "a.jsonl", '{"query_id": "q1", "answers": ["x"]}'),
+    "evidence": (load_evidence, "e.jsonl", '{"query_id": "q1", "evidence": ["d1"]}'),
+    "predictions": (load_predictions, "p.jsonl", '{"query_id": "q1", "answer": "x"}'),
+    "selection": (read_selection_file, "s.jsonl", '{"query_id": "q1", "selected": ["d1"]}'),
+    "transcript": (ReplayJudge, "t.jsonl", '{"prompt_sha256": "ab", "response_text": "[1]"}'),
+}
+
+# (reader name, defect, a line that follows a valid line and a blank one)
+MALFORMED_LINES = [
+    ("corpus-jsonl", "bad JSON", '{"doc_id": "d2",'),
+    ("corpus-jsonl", "missing field", '{"doc_id": "d2"}'),
+    ("corpus-jsonl", "duplicate", '{"doc_id": "d1", "text": "again"}'),
+    ("corpus-tsv", "too few columns", "d2"),
+    ("corpus-tsv", "duplicate", "d1\tagain"),
+    ("queries-jsonl", "bad JSON", '{"query_id": "q2",'),
+    ("queries-jsonl", "missing field", '{"query_id": "q2"}'),
+    ("queries-jsonl", "duplicate", '{"query_id": "q1", "text": "again"}'),
+    ("queries-tsv", "too few columns", "q2"),
+    ("queries-tsv", "duplicate", "q1\tagain"),
+    ("run", "too few columns", "q1 Q0 d2 2"),
+    ("run", "duplicate", "q1 Q0 d1 2 1.0 x"),
+    ("qrels", "too few columns", "q1 0 d2"),
+    ("qrels", "duplicate", "q1 0 d1 0"),
+    ("answers", "bad JSON", "[}"),
+    ("answers", "missing field", '{"query_id": "q2"}'),
+    ("answers", "duplicate", '{"query_id": "q1", "answers": ["y"]}'),
+    ("evidence", "bad JSON", "[}"),
+    ("evidence", "missing field", '{"query_id": "q2"}'),
+    ("evidence", "duplicate", '{"query_id": "q1", "evidence": ["d2"]}'),
+    ("predictions", "bad JSON", "[}"),
+    ("predictions", "missing field", '{"query_id": "q2"}'),
+    ("predictions", "duplicate", '{"query_id": "q1", "answer": "y"}'),
+    ("selection", "bad JSON", "[}"),
+    ("selection", "not an object", '["q2"]'),
+    ("selection", "missing field", '{"query_id": "q2"}'),
+    ("selection", "not a list", '{"query_id": "q2", "selected": "d1"}'),
+    ("selection", "duplicate", '{"query_id": "q1", "selected": []}'),
+    ("transcript", "bad JSON", "not json"),
+    ("transcript", "missing field", '{"prompt_sha256": "cd"}'),
+]
+
+
+@pytest.mark.parametrize(
+    "reader, defect, line",
+    MALFORMED_LINES,
+    ids=[f"{reader}-{defect}" for reader, defect, _ in MALFORMED_LINES],
+)
+def test_malformed_line_names_file_and_line(tmp_path, reader, defect, line):
+    read, name, first = READERS[reader]
+    path = _write(tmp_path, name, f"{first}\n\n{line}\n")
+    with pytest.raises(LoadError) as exc:
+        read(path)
+    assert str(path) in str(exc.value)
+    assert "line 3" in str(exc.value)
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_valid_line_and_blank_lines_load(tmp_path, reader):
+    read, name, first = READERS[reader]
+    read(_write(tmp_path, name, f"\n{first}\n\n"))

@@ -240,13 +240,29 @@ def chat_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/v1", _ChatHandler
     server.shutdown()
+    server.server_close()
 
 
+@pytest.fixture
+def remote_judge():
+    """Build RemoteJudges from endpoint settings and close their sessions after the test."""
+    judges = []
+
+    def build(**config):
+        judges.append(RemoteJudge(JudgeEndpointConfig(**config)))
+        return judges[-1]
+
+    yield build
+    for judge in judges:
+        judge.close()
+
+
+@pytest.mark.filterwarnings("error")
 class TestRemoteJudge:
-    def test_payload_and_parse(self, chat_server):
+    def test_payload_and_parse(self, chat_server, remote_judge):
         url, handler = chat_server
         handler.responses = [(200, "I think [2] > [1] > [3]")]
-        judge = RemoteJudge(JudgeEndpointConfig(base_url=url, model_name="m1", api_key="k"))
+        judge = remote_judge(base_url=url, model_name="m1", api_key="k")
         verdict = judge_window(judge, _prompt(3), RANKING, 3)
         assert verdict.permutation == (2, 1, 3)
         assert verdict.repairs == ()
@@ -256,47 +272,51 @@ class TestRemoteJudge:
         assert sent["messages"][0]["role"] == "system"
         assert "[1]" in sent["messages"][1]["content"]
 
-    def test_retries_on_5xx_then_succeeds(self, chat_server):
+    def test_retries_on_5xx_then_succeeds(self, chat_server, remote_judge):
         url, handler = chat_server
         handler.responses = [(500, "boom"), (200, "[3] > [2] > [1]")]
-        judge = RemoteJudge(
-            JudgeEndpointConfig(
-                base_url=url, model_name="m1", api_key="k", max_retries=2, retry_base_delay=0.01
-            )
+        judge = remote_judge(
+            base_url=url, model_name="m1", api_key="k", max_retries=2, retry_base_delay=0.01
         )
         verdict = judge_window(judge, _prompt(3), RANKING, 3)
         assert verdict.permutation == (3, 2, 1)
         assert len(handler.requests_seen) == 2
 
-    def test_repaired_content_is_not_retried(self, chat_server):
+    def test_repaired_content_is_not_retried(self, chat_server, remote_judge):
         url, handler = chat_server
         handler.responses = [(200, "garbled 2 then 1 then 3")]
-        judge = RemoteJudge(JudgeEndpointConfig(base_url=url, model_name="m1", api_key="k"))
+        judge = remote_judge(base_url=url, model_name="m1", api_key="k")
         verdict = judge_window(judge, _prompt(3), RANKING, 3)
         assert verdict.permutation == (2, 1, 3)
         assert "free_text_stripped" in verdict.repairs
         assert len(handler.requests_seen) == 1
 
-    def test_exhausted_retries_raise_transport_error(self, chat_server):
+    def test_exhausted_retries_raise_transport_error(self, chat_server, remote_judge):
         url, handler = chat_server
         handler.responses = [(500, "x"), (500, "x"), (500, "x")]
-        judge = RemoteJudge(
-            JudgeEndpointConfig(
-                base_url=url, model_name="m1", api_key="k", max_retries=2, retry_base_delay=0.01
-            )
+        judge = remote_judge(
+            base_url=url, model_name="m1", api_key="k", max_retries=2, retry_base_delay=0.01
         )
         with pytest.raises(JudgeTransportError) as exc:
             judge_window(judge, _prompt(3, qid="q9"), RANKING, 3)
         assert exc.value.query_id == "q9"
 
-    def test_unreachable_endpoint(self):
-        judge = RemoteJudge(
-            JudgeEndpointConfig(
-                base_url="http://127.0.0.1:1/v1", model_name="m", api_key="k", max_retries=0
-            )
+    def test_unreachable_endpoint(self, remote_judge):
+        judge = remote_judge(
+            base_url="http://127.0.0.1:1/v1", model_name="m", api_key="k", max_retries=0
         )
         with pytest.raises(JudgeTransportError):
             judge_window(judge, _prompt(2), RANKING, 2)
+
+    def test_recording_close_releases_pooled_connections(self, chat_server, remote_judge, tmp_path):
+        url, _ = chat_server
+        judge = remote_judge(base_url=url, model_name="m1", api_key="k")
+        recorder = RecordingJudge(judge, tmp_path / "t.jsonl")
+        judge_window(recorder, _prompt(3), RANKING, 3)
+        pools = judge._session.get_adapter(url).poolmanager.pools
+        assert len(pools) == 1
+        recorder.close()
+        assert len(pools) == 0
 
 
 class TestDegradation:
