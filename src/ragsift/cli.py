@@ -165,10 +165,13 @@ def _report_failures(batch: BatchResult) -> int:
 
 
 def _load_batch_inputs(args: argparse.Namespace):
-    """Load what every batch command judges: queries, run, corpus, judge, templates, budget."""
-    corpus = load_corpus(args.corpus)
-    queries = load_queries(args.queries)
+    """Load what every batch command judges: queries, run, corpus, judge, templates, budget.
+
+    The run is read first, so the corpus holds only the passages it references.
+    """
     run = load_run(args.run, max_depth=args.depth)
+    corpus = load_corpus(args.corpus, keep={e.doc_id for cl in run.values() for e in cl.entries})
+    queries = load_queries(args.queries)
     qrels = load_qrels(args.qrels) if args.qrels else None
     judge = _build_judge(args, qrels)
     templates = load_templates(args.templates)

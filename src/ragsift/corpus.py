@@ -11,7 +11,7 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Any, Callable, Container, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 logger = logging.getLogger(__name__)
 
@@ -181,9 +181,13 @@ def _id_text_records(path: Path, id_field: str) -> Iterator[tuple[int, str, str,
         yield lineno, rid, text, title
 
 
-def load_corpus(path: str | Path) -> Corpus:
+def load_corpus(path: str | Path, keep: Container[str] | None = None) -> Corpus:
     """Load a passage corpus from JSONL (``doc_id``/``_id``, ``text``, optional
     ``title``) or two/three column TSV (``doc_id<TAB>text[<TAB>title]``).
+
+    With ``keep``, only passages whose doc_id is in ``keep`` are held; every
+    line is still parsed and validated, so the file fails or loads exactly
+    as it would in full.
 
     Raises:
         LoadError: on duplicate doc_id, missing field, or empty text, naming
@@ -191,10 +195,17 @@ def load_corpus(path: str | Path) -> Corpus:
     """
     path = Path(path)
     corpus = Corpus()
+    # duplicates among held passages are caught by the corpus, among the rest here
+    dropped: set[str] = set()
     for lineno, doc_id, text, title in _id_text_records(path, "doc_id"):
         if not text.strip():
             raise LoadError(f"{path}: empty text for doc_id {doc_id} at line {lineno}")
-        corpus._add(Passage(doc_id, text, title), f" at line {lineno} of {path}")
+        if keep is None or doc_id in keep:
+            corpus._add(Passage(doc_id, text, title), f" at line {lineno} of {path}")
+        elif doc_id in dropped:
+            raise LoadError(f"duplicate doc_id {doc_id} at line {lineno} of {path}")
+        else:
+            dropped.add(doc_id)
     return corpus
 
 
@@ -278,7 +289,6 @@ def load_qrels(path: str | Path) -> Qrels:
     """Load TREC 4-column qrels (``qid 0 docid grade``). Grade-0 lines are kept."""
     path = Path(path)
     qrels = Qrels()
-    seen: set[tuple[str, str]] = set()
     for lineno, parts in delimited_rows(path, 4):
         qid, doc_id = parts[0], parts[2]
         try:
@@ -287,10 +297,12 @@ def load_qrels(path: str | Path) -> Qrels:
             raise LoadError(f"{path}: non-integer grade at line {lineno}") from exc
         if grade < 0:
             raise LoadError(f"{path}: negative grade at line {lineno}")
-        if (qid, doc_id) in seen:
+        grades = qrels._grades.get(qid)
+        if grades is None:
+            grades = qrels._grades[qid] = {}
+        elif doc_id in grades:
             raise LoadError(f"{path}: duplicate qrels pair ({qid}, {doc_id}) at line {lineno}")
-        seen.add((qid, doc_id))
-        qrels.set_grade(qid, doc_id, grade)
+        grades[doc_id] = grade
     return qrels
 
 

@@ -16,6 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
+from .corpus import LoadError
 from .windowing import WindowConfig, WindowTrace, plan_ranking_windows, window_count_bounds
 
 _SUM_TOLERANCE = 1e-9
@@ -85,12 +86,37 @@ class SelectionProfile:
 
 
 def load_profile(path: str | Path) -> SelectionProfile:
-    """Load an empirical profile: JSON ``{"counts": {"0": p0, "1": p1, ...}}``."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    counts = data.get("counts")
+    """Load an empirical profile: JSON ``{"counts": {"0": p0, "1": p1, ...}}``.
+
+    Raises:
+        LoadError: naming the file, when it is not JSON, has no ``counts``
+            object, maps a key that is not an integer or a value that is not
+            a finite number, or is not a valid histogram.
+    """
+    path = Path(path)
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8 or not JSON
+        raise LoadError(f"{path}: profile file is not JSON: {exc}") from exc
+    counts = data.get("counts") if isinstance(data, dict) else None
     if not isinstance(counts, dict):
-        raise ValueError(f"{path}: profile file needs a 'counts' object")
-    return SelectionProfile.from_histogram({int(k): float(v) for k, v in counts.items()})
+        raise LoadError(f"{path}: profile file needs a JSON object with a 'counts' object")
+    histogram: dict[int, float] = {}
+    for key, value in counts.items():
+        try:
+            count, prob = int(key), float(value)
+            if not math.isfinite(prob):
+                raise ValueError(prob)
+        except (TypeError, ValueError):
+            raise LoadError(
+                f"{path}: counts entry {key!r}: {value!r} needs an integer key and a "
+                "finite number"
+            ) from None
+        histogram[count] = prob
+    try:
+        return SelectionProfile.from_histogram(histogram)
+    except ValueError as exc:
+        raise LoadError(f"{path}: {exc}") from exc
 
 
 def parse_profile_spec(spec: str) -> SelectionProfile:

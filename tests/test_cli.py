@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 
 import ragsift
 from ragsift.cli import main
-from ragsift.corpus import load_run
+from ragsift.corpus import load_corpus, load_run
 from ragsift.judge import OracleJudge
 from ragsift.windowing import read_selection_file
 
@@ -47,6 +48,30 @@ def _rerank(mini_dir, out, extra=()):
             *extra,
         ]
     )
+
+
+def _mini_copy(mini_dir, dest, corpus_lines=None, run_text=None):
+    """Copy the mini dataset to ``dest``, replacing the corpus lines or the run."""
+    dest.mkdir()
+    for name in ("queries.jsonl", "run.trec", "qrels.txt"):
+        shutil.copy(mini_dir / name, dest / name)
+    if corpus_lines is None:
+        shutil.copy(mini_dir / "corpus.jsonl", dest / "corpus.jsonl")
+    else:
+        (dest / "corpus.jsonl").write_text("".join(corpus_lines), encoding="utf-8")
+    if run_text is not None:
+        (dest / "run.trec").write_text(run_text, encoding="utf-8")
+    return dest
+
+
+def _padded_corpus_lines(mini_dir, pad=150):
+    """The mini corpus between ``pad`` unreferenced passages on each side."""
+    lines = (mini_dir / "corpus.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    padding = [
+        json.dumps({"doc_id": f"pad{i}", "text": f"unreferenced passage {i}"}) + "\n"
+        for i in range(2 * pad)
+    ]
+    return padding[:pad] + lines + padding[pad:]
 
 
 class TestRerankCommand:
@@ -387,6 +412,116 @@ class TestSimulateCommand:
         report = json.loads((out / "cost_report.json").read_text())
         lo, hi = report["bounds"]
         assert lo <= report["mean_windows"] <= hi
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1, 2]",
+            "import json",
+            '{"counts": [0.5, 0.5]}',
+            '{"counts": {"one": 0.5, "2": 0.5}}',
+            '{"counts": {"0": "half", "2": 0.5}}',
+            '{"counts": {"0": null, "2": 1.0}}',
+            '{"counts": {"0": NaN}}',
+            '{"counts": {"0": 0.4}}',
+        ],
+        ids=["array", "not-json", "counts-array", "key", "value", "null", "nan", "sum"],
+    )
+    def test_bad_profile_exits_1_naming_file(self, tmp_path, capsys, text):
+        hist = tmp_path / "hist.json"
+        hist.write_text(text, encoding="utf-8")
+        code = main(["simulate", "--profile", str(hist), "--out", str(tmp_path / "sim")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {hist}")
+        assert "Traceback" not in err
+
+
+# batch command -> (argv head, output files); the mini run references every
+# passage at depth 10 and 80 of them at depth 4
+BATCH_COMMANDS = {
+    "rerank": (
+        ["rerank", "--depth", "10", "--w", "4", "--s", "2", "--trace"],
+        ["run.trec", "trace.jsonl"],
+    ),
+    "select": (
+        ["select", "--depth", "10", "--w", "4", "--s", "2", "--trace"],
+        ["selected.jsonl", "trace.jsonl"],
+    ),
+    "annotate-ranking": (
+        ["annotate", "--kind", "ranking", "--depth", "4", "--w", "4"],
+        ["train.jsonl", "rejected.jsonl"],
+    ),
+    "annotate-selection": (
+        ["annotate", "--kind", "selection", "--depth", "4", "--w", "4"],
+        ["train.jsonl", "rejected.jsonl"],
+    ),
+}
+
+
+class TestReferencedCorpus:
+    """Batch commands hold only the passages their run references."""
+
+    @pytest.mark.parametrize("name", sorted(BATCH_COMMANDS))
+    def test_unreferenced_passages_change_no_output(self, mini_dir, tmp_path, name):
+        head, files = BATCH_COMMANDS[name]
+        padded = _mini_copy(mini_dir, tmp_path / "padded", _padded_corpus_lines(mini_dir))
+        outputs = []
+        for data in (mini_dir, padded):
+            out, transcript = tmp_path / f"out-{data.name}", tmp_path / f"{data.name}.jsonl"
+            judge = ["--judge", "oracle", "--parallel", "1", "--transcript", str(transcript)]
+            assert main([*head, *_mini_flags(data), *judge, "--out", str(out)]) == 0
+            outputs.append([(out / f).read_bytes() for f in files] + [transcript.read_bytes()])
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("name, depth", [("rerank", 10), ("annotate-ranking", 4)])
+    def test_corpus_holds_only_run_passages(self, mini_dir, tmp_path, monkeypatch, name, depth):
+        loaded = []
+
+        def spy(*args, **kwargs):
+            loaded.append(load_corpus(*args, **kwargs))
+            return loaded[-1]
+
+        monkeypatch.setattr("ragsift.cli.load_corpus", spy)
+        padded = _mini_copy(mini_dir, tmp_path / "padded", _padded_corpus_lines(mini_dir))
+        head, _ = BATCH_COMMANDS[name]
+        assert main([*head, *_mini_flags(padded), "--out", str(tmp_path / "out")]) == 0
+        run = load_run(padded / "run.trec", max_depth=depth)
+        assert len(loaded[0]) == len({d for cl in run.values() for d in cl.doc_ids()})
+
+    @pytest.mark.parametrize("command", ["rerank", "select", "annotate"])
+    def test_run_id_missing_from_corpus_exits_1(self, mini_dir, tmp_path, capsys, command):
+        run_text = (mini_dir / "run.trec").read_text(encoding="utf-8")
+        first = run_text.splitlines()[0]
+        qid, _, doc_id = first.split()[:3]
+        run_text = run_text.replace(first, first.replace(f" {doc_id} ", " absent "), 1)
+        data = _mini_copy(mini_dir, tmp_path / "data", run_text=run_text)
+        head = [command, "--kind", "ranking"] if command == "annotate" else [command]
+        code = main([*head, *_mini_flags(data), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "1 candidate doc_ids do not resolve in the corpus" in err
+        assert f"{qid}:absent" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["rerank", "select", "annotate"])
+    @pytest.mark.parametrize(
+        "line",
+        ['{"doc_id": "pad9",', '{"doc_id": "pad9", "text": ""}', '{"doc_id": "pad0", "text": "again"}'],
+        ids=["bad-json", "empty-text", "duplicate"],
+    )
+    def test_malformed_unreferenced_passage_exits_1(self, mini_dir, tmp_path, capsys, command, line):
+        lines = _padded_corpus_lines(mini_dir, pad=2)
+        lines.insert(1, line + "\n")
+        data = _mini_copy(mini_dir, tmp_path / "data", lines)
+        head = [command, "--kind", "ranking"] if command == "annotate" else [command]
+        code = main([*head, *_mini_flags(data), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ")
+        assert str(data / "corpus.jsonl") in err
+        assert "line 2" in err
+        assert "Traceback" not in err
 
 
 class TestMalformedInputs:

@@ -75,6 +75,53 @@ class TestLoadCorpus:
             load_corpus(path)
 
 
+# four valid passages d1..d4; a keep set holds d1, d2 and, in the second case, d9
+CORPUS_LINES = "".join(f'{{"doc_id": "d{i}", "text": "text {i}"}}\n' for i in range(1, 5))
+KEEPS = [{"d1", "d2"}, {"d1", "d2", "d9"}]
+
+
+class TestLoadCorpusKeep:
+    @pytest.mark.parametrize("keep", KEEPS, ids=["d9-dropped", "d9-kept"])
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"doc_id": "d9",',
+            '{"doc_id": "d9"}',
+            '{"doc_id": "d9", "text": " "}',
+            '{"doc_id": "d3", "text": "again"}',
+            '{"doc_id": "d1", "text": "again"}',
+        ],
+        ids=["bad-json", "missing-text", "empty-text", "duplicate-dropped", "duplicate-kept"],
+    )
+    def test_same_error_at_same_line_as_full_load(self, tmp_path, keep, line):
+        path = _write(tmp_path, "c.jsonl", CORPUS_LINES + line + "\n")
+        with pytest.raises(LoadError) as full:
+            load_corpus(path)
+        with pytest.raises(LoadError) as kept:
+            load_corpus(path, keep=keep)
+        assert str(kept.value) == str(full.value)
+        assert "line 5" in str(kept.value)
+
+    def test_tsv_duplicate_among_dropped(self, tmp_path):
+        path = _write(tmp_path, "c.tsv", "d1\tone\nd2\ttwo\nd2\tagain\n")
+        with pytest.raises(LoadError, match="duplicate doc_id d2 at line 3"):
+            load_corpus(path, keep={"d1"})
+
+    def test_holds_exactly_the_kept_passages(self, tmp_path):
+        path = _write(tmp_path, "c.jsonl", CORPUS_LINES)
+        full = load_corpus(path)
+        kept = load_corpus(path, keep={"d2", "d4", "absent"})
+        assert len(kept) == 2
+        assert "d1" not in kept and "d3" not in kept and "absent" not in kept
+        assert kept["d2"] == full["d2"] and kept["d4"] == full["d4"]
+
+    def test_keep_none_loads_everything(self, tmp_path):
+        path = _write(tmp_path, "c.jsonl", CORPUS_LINES)
+        full, everything = load_corpus(path), load_corpus(path, keep=None)
+        assert len(everything) == len(full) == 4
+        assert all(everything[f"d{i}"] == full[f"d{i}"] for i in range(1, 5))
+
+
 class TestLoadRun:
     def test_line_maps_fields(self, tmp_path):
         path = _write(tmp_path, "r.trec", "q1 Q0 d7 1 12.5 bm25\n")
