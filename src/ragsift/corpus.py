@@ -93,11 +93,6 @@ class Qrels:
     def grade(self, query_id: str, doc_id: str) -> int:
         return self._grades.get(query_id, {}).get(doc_id, 0)
 
-    def set_grade(self, query_id: str, doc_id: str, grade: int) -> None:
-        if grade < 0:
-            raise LoadError(f"negative grade {grade} for ({query_id}, {doc_id})")
-        self._grades.setdefault(query_id, {})[doc_id] = grade
-
     def grades_for(self, query_id: str) -> dict[str, int]:
         return dict(self._grades.get(query_id, {}))
 

@@ -120,14 +120,29 @@ def load_profile(path: str | Path) -> SelectionProfile:
 
 
 def parse_profile_spec(spec: str) -> SelectionProfile:
-    """Parse a CLI profile spec: never, always, bernoulli:P, or a JSON path."""
+    """Parse a CLI profile spec: never, always, bernoulli:P, or a JSON path.
+
+    Raises:
+        ValueError: naming the spec and the accepted forms, for a bernoulli
+            probability that is not a number in [0, 1] and for a spec that
+            is none of the named forms and no existing file.
+        LoadError: from ``load_profile``, for a file that is not a profile.
+    """
     if spec == "never":
         return SelectionProfile.never()
     if spec == "always":
         return SelectionProfile.always()
     if spec.startswith("bernoulli:"):
-        return SelectionProfile.bernoulli(float(spec.split(":", 1)[1]))
-    return load_profile(spec)
+        try:
+            return SelectionProfile.bernoulli(float(spec.split(":", 1)[1]))
+        except ValueError:
+            pass
+    elif Path(spec).is_file():
+        return load_profile(spec)
+    raise ValueError(
+        f"--profile {spec!r} is not one of: never, always, bernoulli:P with 0 <= P <= 1, "
+        "or a JSON profile file"
+    )
 
 
 @dataclass

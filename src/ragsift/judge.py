@@ -23,11 +23,16 @@ import re
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
+from urllib.parse import urlsplit
 
 from .corpus import LoadError, Qrels, jsonl_records
 from .prompting import RenderedPrompt
+
+if TYPE_CHECKING:
+    from http.client import HTTPConnection
 
 logger = logging.getLogger(__name__)
 
@@ -315,22 +320,80 @@ class JudgeEndpointConfig:
 class RemoteJudge(Judge):
     """Judge backed by an OpenAI-compatible /chat/completions endpoint.
 
-    Bounds concurrent in-flight requests and retries transport failures with
-    exponential backoff plus jitter. A response that parsed, even after
-    repair, is never retried.
+    Requests go out through the stdlib's ``http.client``: each worker thread
+    keeps one keep-alive connection (an ``HTTPSConnection``, with the ``ssl``
+    default context and so the system CA store, for an ``https`` base URL),
+    and ``close()`` closes every connection the judge opened. Proxy
+    environment variables are not honoured and redirects are not followed.
+
+    Bounds concurrent in-flight requests and retries transport failures
+    (``OSError``, timeouts included, and ``http.client.HTTPException``) and
+    5xx replies with exponential backoff plus jitter. A reused connection
+    that the server closed while it sat idle is reopened once at once,
+    without spending an attempt. Any other non-2xx reply (429 included) and a
+    malformed 2xx reply are fatal. A response that parsed, even after repair,
+    is never retried.
     """
 
     def __init__(self, config: JudgeEndpointConfig):
-        import requests
+        # imported here, so that oracle and replay runs skip its start-up cost
+        from http.client import HTTPConnection, HTTPSConnection
 
+        url = urlsplit(config.base_url.rstrip("/") + "/chat/completions")
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(
+                f"endpoint URL needs the form http(s)://host[:port][/path], got {config.base_url!r}"
+            )
+        connection = HTTPSConnection if url.scheme == "https" else HTTPConnection
         self.config = config
-        self._session = requests.Session()
+        self._path = url.path
+        self._new_connection = partial(connection, url.hostname, url.port, timeout=config.timeout)
         self._gate = threading.BoundedSemaphore(config.max_in_flight)
+        self._local = threading.local()
+        self._connections: list[HTTPConnection] = []
+        self._lock = threading.Lock()
+
+    def _connection(self) -> HTTPConnection:
+        """This thread's connection; ``http.client`` reopens it after a close."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = self._new_connection()
+            with self._lock:
+                self._connections.append(conn)
+        return conn
+
+    def _post(self, body: bytes, headers: dict[str, str]) -> tuple[int, bytes]:
+        """POST on this thread's connection; return the status and the reply body.
+
+        Raises ``OSError`` or ``http.client.HTTPException`` on transport
+        failure, and closes the connection on any failure.
+        """
+        conn = self._connection()
+        reused = conn.sock is not None
+        try:
+            try:
+                conn.request("POST", self._path, body, headers)
+                resp = conn.getresponse()
+            except ConnectionError:
+                # an idle keep-alive connection the server has since closed
+                # fails before any status line: reopen it once, at once
+                if not reused:
+                    raise
+                conn.close()
+                conn.request("POST", self._path, body, headers)
+                resp = conn.getresponse()
+            # on a reply marked will_close, getresponse() has already dropped
+            # the socket, so the next request opens a new one
+            with resp:
+                return resp.status, resp.read()
+        except BaseException:
+            # whatever broke the exchange, the connection's state is unknown
+            conn.close()
+            raise
 
     def _complete(self, prompt: RenderedPrompt) -> str:
-        import requests
+        from http.client import HTTPException
 
-        url = self.config.base_url.rstrip("/") + "/chat/completions"
         messages = []
         if prompt.system:
             messages.append({"role": "system", "content": prompt.system})
@@ -340,6 +403,7 @@ class RemoteJudge(Judge):
             "messages": messages,
             "temperature": self.config.temperature,
         }
+        body = json.dumps(payload).encode("utf-8")
         headers = {"Content-Type": "application/json"}
         if self.config.api_key:
             headers["Authorization"] = f"Bearer {self.config.api_key}"
@@ -351,10 +415,8 @@ class RemoteJudge(Judge):
                 time.sleep(delay * (0.5 + random.random()))
             try:
                 with self._gate:
-                    resp = self._session.post(
-                        url, json=payload, headers=headers, timeout=self.config.timeout
-                    )
-            except requests.RequestException as exc:
+                    status, data = self._post(body, headers)
+            except (OSError, HTTPException) as exc:
                 last_error = exc
                 logger.warning(
                     "judge request failed (attempt %d/%d) for query %s: %s",
@@ -364,24 +426,25 @@ class RemoteJudge(Judge):
                     exc,
                 )
                 continue
-            if resp.status_code >= 500:
-                last_error = RuntimeError(f"HTTP {resp.status_code}: {resp.text[:200]}")
+            snippet = data[:200].decode("utf-8", "replace")
+            if status >= 500:
+                last_error = RuntimeError(f"HTTP {status}: {snippet}")
                 logger.warning(
                     "judge returned %d (attempt %d/%d) for query %s",
-                    resp.status_code,
+                    status,
                     attempt + 1,
                     self.config.max_retries + 1,
                     prompt.query_id,
                 )
                 continue
-            if resp.status_code >= 400:
+            if not 200 <= status < 300:
                 raise JudgeTransportError(
-                    f"endpoint rejected request with HTTP {resp.status_code}: {resp.text[:200]}",
+                    f"endpoint rejected request with HTTP {status}: {snippet}",
                     query_id=prompt.query_id,
                 )
             try:
-                body = resp.json()
-                return body["choices"][0]["message"]["content"] or ""
+                reply = json.loads(data)
+                return reply["choices"][0]["message"]["content"] or ""
             except (ValueError, KeyError, IndexError, TypeError) as exc:
                 raise JudgeTransportError(
                     f"malformed endpoint response: {exc}", query_id=prompt.query_id
@@ -396,7 +459,9 @@ class RemoteJudge(Judge):
         return verdict_from_text(text, kind, n)
 
     def close(self) -> None:
-        self._session.close()
+        with self._lock:
+            for conn in self._connections:
+                conn.close()
 
 
 def prompt_sha256(prompt: RenderedPrompt) -> str:

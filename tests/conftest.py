@@ -25,10 +25,7 @@ def make_passages(n: int, prefix: str = "d", text: str = "t") -> list[Passage]:
 
 
 def make_qrels(query_id: str, grades: dict[str, int]) -> Qrels:
-    qrels = Qrels()
-    for doc_id, grade in grades.items():
-        qrels.set_grade(query_id, doc_id, grade)
-    return qrels
+    return Qrels({query_id: grades})
 
 
 QUERY = Query(query_id="q1", text="what is it")

@@ -401,6 +401,17 @@ class TestSimulateCommand:
         assert report["mean_windows"] == expected
         assert report["ranking_windows"] == 9
 
+    @pytest.mark.parametrize(
+        "spec", ["bernoulli:abc", "bernoulli:1.5", "bernoulli:nan", "nevr", "missing.json"]
+    )
+    def test_bad_profile_spec_exits_1_listing_forms(self, tmp_path, capsys, spec):
+        code = main(["simulate", "--profile", spec, "--out", str(tmp_path / "sim")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: --profile {spec!r} is not one of: never, always, ")
+        assert "bernoulli:P with 0 <= P <= 1, or a JSON profile file" in err
+        assert "Traceback" not in err
+
     def test_histogram_profile_within_bounds(self, tmp_path):
         hist = tmp_path / "hist.json"
         hist.write_text(json.dumps({"counts": {"0": 0.4, "4": 0.6}}), encoding="utf-8")

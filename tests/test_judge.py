@@ -1,14 +1,23 @@
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import socket
+import subprocess
+import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ragsift
 from ragsift.judge import (
+    API_KEY_ENV_VARS,
     RANKING,
     SELECTION,
     JudgeEndpointConfig,
@@ -206,18 +215,34 @@ class TestReplayAndRecording:
 
 
 class _ChatHandler(BaseHTTPRequestHandler):
-    responses: list[tuple[int, str]] = []
+    """Scripted chat endpoint; a ``None`` entry in ``responses`` hangs until the test ends."""
+
+    responses: list[tuple[int, str] | None] = []
     requests_seen: list[dict] = []
+    # (path, Authorization header) per request
+    requests_meta: list[tuple[str, str | None]] = []
+    # one per TCP connection accepted
+    sockets: list[socket.socket] = []
+    release = threading.Event()
     lock = threading.Lock()
+
+    def setup(self):
+        super().setup()
+        with self.lock:
+            self.sockets.append(self.connection)
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length))
         with self.lock:
             self.requests_seen.append(body)
-            status, text = (
-                self.responses.pop(0) if self.responses else (200, "[1] > [2] > [3]")
-            )
+            self.requests_meta.append((self.path, self.headers.get("Authorization")))
+            reply = self.responses.pop(0) if self.responses else (200, "[1] > [2] > [3]")
+        if reply is None:
+            self.release.wait(10)
+            self.close_connection = True
+            return
+        status, text = reply
         payload = json.dumps(
             {"choices": [{"message": {"role": "assistant", "content": text}}]}
         ).encode()
@@ -231,21 +256,56 @@ class _ChatHandler(BaseHTTPRequestHandler):
         pass
 
 
+class _KeepAliveChatHandler(_ChatHandler):
+    """HTTP/1.1 variant: connections stay open between requests."""
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    timeout = 10  # an idle connection the client never closes ends the handler thread
+
+    @classmethod
+    def close_idle(cls):
+        """Close every connection from the server side, as an idle timeout would."""
+        with cls.lock:
+            for sock in cls.sockets:
+                with contextlib.suppress(OSError):
+                    sock.shutdown(socket.SHUT_RDWR)
+
+
+@contextlib.contextmanager
+def _serving(handler):
+    handler.responses, handler.requests_seen, handler.requests_meta = [], [], []
+    handler.sockets, handler.release = [], threading.Event()
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    # a short poll interval keeps shutdown() from waiting out the default half second
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}/v1"
+    finally:
+        handler.release.set()
+        server.shutdown()
+        server.server_close()
+        thread.join(10)
+
+
 @pytest.fixture
 def chat_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _ChatHandler)
-    _ChatHandler.responses = []
-    _ChatHandler.requests_seen = []
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_port}/v1", _ChatHandler
-    server.shutdown()
-    server.server_close()
+    with _serving(_ChatHandler) as url:
+        yield url, _ChatHandler
+
+
+@pytest.fixture
+def keepalive_server():
+    with _serving(_KeepAliveChatHandler) as url:
+        yield url, _KeepAliveChatHandler
 
 
 @pytest.fixture
 def remote_judge():
-    """Build RemoteJudges from endpoint settings and close their sessions after the test."""
+    """Build RemoteJudges from endpoint settings and close their connections after the test."""
     judges = []
 
     def build(**config):
@@ -308,15 +368,142 @@ class TestRemoteJudge:
         with pytest.raises(JudgeTransportError):
             judge_window(judge, _prompt(2), RANKING, 2)
 
-    def test_recording_close_releases_pooled_connections(self, chat_server, remote_judge, tmp_path):
-        url, _ = chat_server
+    def test_recording_close_releases_pooled_connections(
+        self, keepalive_server, remote_judge, tmp_path
+    ):
+        url, _ = keepalive_server
         judge = remote_judge(base_url=url, model_name="m1", api_key="k")
         recorder = RecordingJudge(judge, tmp_path / "t.jsonl")
-        judge_window(recorder, _prompt(3), RANKING, 3)
-        pools = judge._session.get_adapter(url).poolmanager.pools
-        assert len(pools) == 1
+        workers = [
+            threading.Thread(target=judge_window, args=(recorder, _prompt(3), RANKING, 3))
+            for _ in range(2)
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(10)
+            assert not worker.is_alive()
+        assert len(judge._connections) == 2
+        assert all(conn.sock is not None for conn in judge._connections)
         recorder.close()
-        assert len(pools) == 0
+        assert all(conn.sock is None for conn in judge._connections)
+
+
+@pytest.mark.filterwarnings("error")
+class TestKeepAliveTransport:
+    def test_sequential_calls_share_one_connection(self, keepalive_server, remote_judge):
+        url, handler = keepalive_server
+        judge = remote_judge(base_url=url, model_name="m1", api_key="k")
+        for _ in range(5):
+            assert judge_window(judge, _prompt(3), RANKING, 3).permutation == (1, 2, 3)
+        assert len(handler.requests_seen) == 5
+        assert len(handler.sockets) == 1
+
+    def test_each_thread_keeps_one_connection_under_contention(
+        self, keepalive_server, remote_judge
+    ):
+        url, handler = keepalive_server
+        judge = remote_judge(base_url=url, model_name="m1", api_key="k", max_in_flight=3)
+        n_threads, calls = 8, 5
+        start = threading.Barrier(n_threads)
+        errors = []
+
+        def work():
+            try:
+                start.wait(10)
+                for _ in range(calls):
+                    judge_window(judge, _prompt(3), RANKING, 3)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work) for _ in range(n_threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert errors == []
+        assert len(handler.requests_seen) == n_threads * calls
+        assert len(judge._connections) == len(handler.sockets) == n_threads
+
+    def test_idle_close_reconnects_at_once(self, keepalive_server, remote_judge):
+        url, handler = keepalive_server
+        # any backoff sleep would take at least 5 s
+        judge = remote_judge(base_url=url, model_name="m1", api_key="k", retry_base_delay=5.0)
+        judge_window(judge, _prompt(3), RANKING, 3)
+        handler.close_idle()
+        handler.responses = [(200, "[2] > [1] > [3]")]
+        started = time.monotonic()
+        verdict = judge_window(judge, _prompt(3), RANKING, 3)
+        assert time.monotonic() - started < 2.0
+        assert verdict.permutation == (2, 1, 3)
+        assert len(handler.requests_seen) == 2
+        assert len(handler.sockets) == 2
+
+    def test_hang_past_timeout_spends_every_attempt(self, keepalive_server, remote_judge):
+        url, handler = keepalive_server
+        judge = remote_judge(
+            base_url=url,
+            model_name="m1",
+            api_key="k",
+            timeout=0.2,
+            max_retries=2,
+            retry_base_delay=0.01,
+        )
+        # a first call leaves the connection open, so the first hang hits a reused one
+        judge_window(judge, _prompt(3), RANKING, 3)
+        handler.responses = [None, None, None]
+        with pytest.raises(JudgeTransportError, match="after 3 attempts") as exc:
+            judge_window(judge, _prompt(3, qid="q9"), RANKING, 3)
+        assert exc.value.query_id == "q9"
+        assert len(handler.requests_seen) == 1 + 3
+
+    def test_base_url_path_prefix_and_trailing_slash(self, keepalive_server, remote_judge):
+        url, handler = keepalive_server
+        base = url.removesuffix("/v1") + "/prefix/v1/"
+        judge = remote_judge(base_url=base, model_name="m1", api_key="k")
+        judge_window(judge, _prompt(3), RANKING, 3)
+        assert handler.requests_meta[0][0] == "/prefix/v1/chat/completions"
+
+    @pytest.mark.parametrize("api_key,expected", [("k", "Bearer k"), ("", None)])
+    def test_authorization_only_with_api_key(
+        self, keepalive_server, remote_judge, monkeypatch, api_key, expected
+    ):
+        for name in API_KEY_ENV_VARS:
+            monkeypatch.delenv(name, raising=False)
+        url, handler = keepalive_server
+        judge = remote_judge(base_url=url, model_name="m1", api_key=api_key)
+        judge_window(judge, _prompt(3), RANKING, 3)
+        assert handler.requests_meta[0][1] == expected
+
+
+@pytest.mark.parametrize("base_url", ["localhost:8000/v1", "ftp://host/v1", "http:///v1"])
+def test_endpoint_url_needs_http_scheme_and_host(base_url):
+    with pytest.raises(ValueError, match="http"):
+        RemoteJudge(JudgeEndpointConfig(base_url=base_url, model_name="m", api_key="k"))
+
+
+def test_cli_and_remote_judge_do_not_import_requests():
+    """The judge transport is stdlib only; keep ``requests`` from creeping back."""
+    code = (
+        "import sys, ragsift.cli\n"
+        "from ragsift.judge import JudgeEndpointConfig, RemoteJudge\n"
+        "config = JudgeEndpointConfig(base_url='http://127.0.0.1:1/v1', model_name='m')\n"
+        "RemoteJudge(config).close()\n"
+        "assert 'requests' not in sys.modules, 'requests was imported'\n"
+    )
+    src = str(Path(ragsift.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestDegradation:

@@ -4,11 +4,10 @@ import logging
 
 import pytest
 
-from ragsift.corpus import Corpus, LoadError, Passage, Query, ranking_to_candidates
+from ragsift.corpus import Corpus, LoadError, Passage, Qrels, Query, ranking_to_candidates
 from ragsift.judge import Judge, JudgeTransportError, OracleJudge, verdict_from_text
 from ragsift.pipeline import run_batch
 from ragsift.windowing import WindowConfig, rerank, select
-from tests.conftest import make_qrels
 
 
 def _inputs(n_queries=4, depth=6):
@@ -20,10 +19,9 @@ def _inputs(n_queries=4, depth=6):
         f"q{q}": ranking_to_candidates(f"q{q}", [f"p{q}_{i}" for i in range(depth)])
         for q in range(n_queries)
     }
-    qrels = make_qrels("q0", {"p0_0": 1})
-    for q in range(n_queries):
-        for i in range(depth):
-            qrels.set_grade(f"q{q}", f"p{q}_{i}", (i + q) % 3)
+    qrels = Qrels(
+        {f"q{q}": {f"p{q}_{i}": (i + q) % 3 for i in range(depth)} for q in range(n_queries)}
+    )
     return corpus, queries, run, qrels
 
 
