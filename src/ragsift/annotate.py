@@ -166,8 +166,12 @@ def annotate(
             f"window_size ({cfg.window_size})"
         )
     engine = partial(annotate_query, kind=kind)
-    batch = run_batch(engine, queries, run, corpus, judge, cfg, templates, budget, parallel)
-    return list(batch.results.values())
+    return [
+        record
+        for _, record in run_batch(
+            engine, queries, run, corpus, judge, cfg, templates, budget, parallel
+        )
+    ]
 
 
 def write_training_files(

@@ -14,10 +14,11 @@ import hashlib
 import json
 import logging
 import sys
-from contextlib import closing
+from contextlib import ExitStack, closing, contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable, Iterator, TextIO
 
 from . import __version__
 from .annotate import annotate, write_training_files
@@ -31,8 +32,7 @@ from .corpus import (
     load_qrels,
     load_queries,
     load_run,
-    ranking_to_candidates,
-    write_run,
+    trec_lines,
 )
 from .costsim import parse_profile_spec, ranking_cost, simulate
 from .judge import Judge, JudgeEndpointConfig, OracleJudge, RecordingJudge, RemoteJudge, ReplayJudge
@@ -45,15 +45,15 @@ from .metrics import (
     ndcg_per_query,
     write_report,
 )
-from .pipeline import BatchResult, run_batch
+from .pipeline import QueryFailure, run_batch
 from .prompting import PromptBudget, TemplateError, load_templates
 from .windowing import (
     WindowConfig,
     cut,
     rerank,
     select,
-    write_selection_file,
-    write_traces,
+    selection_line,
+    trace_lines,
 )
 
 logger = logging.getLogger(__name__)
@@ -156,10 +156,10 @@ def _window_cfg(args: argparse.Namespace) -> WindowConfig:
     return WindowConfig(depth=args.depth, window_size=args.w, stride=args.s)
 
 
-def _report_failures(batch: BatchResult) -> int:
-    if batch.failures:
-        ids = ", ".join(f.query_id for f in batch.failures)
-        print(f"aborted queries ({len(batch.failures)}): {ids}", file=sys.stderr)
+def _report_failures(failures: list[QueryFailure]) -> int:
+    if failures:
+        ids = ", ".join(f.query_id for f in failures)
+        print(f"aborted queries ({len(failures)}): {ids}", file=sys.stderr)
         return 2
     return 0
 
@@ -179,35 +179,71 @@ def _load_batch_inputs(args: argparse.Namespace):
     return queries, run, corpus, judge, templates, budget
 
 
-def cmd_rerank(args: argparse.Namespace) -> int:
+@contextmanager
+def _staged(out: Path, names: list[str]) -> Iterator[list[TextIO]]:
+    """Open ``<name>.partial`` files in ``out``, renamed to ``name`` if the block succeeds.
+
+    On any exception the partial files are removed, so a failed run leaves
+    earlier outputs of the same names untouched.
+    """
+    partial = [out / f"{name}.partial" for name in names]
+    try:
+        with ExitStack() as stack:
+            yield [stack.enter_context(p.open("w", encoding="utf-8")) for p in partial]
+    except BaseException:
+        for p in partial:
+            p.unlink(missing_ok=True)
+        raise
+    for p, name in zip(partial, names):
+        p.replace(out / name)
+
+
+def _stream_batch(
+    args: argparse.Namespace, engine: Callable, output: str, line: Callable[[str, object], str]
+) -> tuple[Path, int, list[QueryFailure]]:
+    """Judge every query with ``engine``, writing ``line(query_id, result)`` to ``output``.
+
+    Each query's output line and trace are written as its outcome arrives;
+    the partial traces of aborted queries follow, in query_id order. Returns
+    the output directory, the count of completed queries and the failures.
+    """
     queries, run, corpus, judge, templates, budget = _load_batch_inputs(args)
-    cfg = _window_cfg(args)
+    done, failures = 0, []
     with closing(judge):
-        batch = run_batch(rerank, queries, run, corpus, judge, cfg, templates, budget, args.parallel)
-    out = _out_dir(args)
-    reranked = {
-        qid: ranking_to_candidates(qid, res.ranked_ids) for qid, res in batch.results.items()
-    }
-    write_run(reranked, out / "run.trec", tag=args.tag)
-    if args.trace:
-        write_traces(batch.traces(), out / "trace.jsonl")
+        outcomes = run_batch(
+            engine, queries, run, corpus, judge, _window_cfg(args), templates, budget, args.parallel
+        )
+        out = _out_dir(args)
+        names = [output, "trace.jsonl"] if args.trace else [output]
+        with closing(outcomes), _staged(out, names) as files:
+            for qid, outcome in outcomes:
+                if isinstance(outcome, QueryFailure):
+                    failures.append(outcome)
+                    continue
+                files[0].write(line(qid, outcome))
+                if args.trace:
+                    files[1].write(trace_lines(outcome.trace))
+                done += 1
+            if args.trace:
+                for failure in failures:
+                    if failure.partial_trace is not None:
+                        files[1].write(trace_lines(failure.partial_trace))
     _manifest(args, _BATCH_INPUT_FLAGS).write(out)
-    print(f"reranked {len(batch.results)} queries -> {out / 'run.trec'}")
-    return _report_failures(batch)
+    return out, done, failures
+
+
+def cmd_rerank(args: argparse.Namespace) -> int:
+    out, done, failures = _stream_batch(
+        args, rerank, "run.trec", lambda qid, res: trec_lines(qid, res.ranked_ids, args.tag)
+    )
+    print(f"reranked {done} queries -> {out / 'run.trec'}")
+    return _report_failures(failures)
 
 
 def cmd_select(args: argparse.Namespace) -> int:
-    queries, run, corpus, judge, templates, budget = _load_batch_inputs(args)
-    cfg = _window_cfg(args)
-    with closing(judge):
-        batch = run_batch(select, queries, run, corpus, judge, cfg, templates, budget, args.parallel)
-    out = _out_dir(args)
-    write_selection_file(batch.results, out / "selected.jsonl")
-    if args.trace:
-        write_traces(batch.traces(), out / "trace.jsonl")
-    _manifest(args, _BATCH_INPUT_FLAGS).write(out)
-    print(f"selected for {len(batch.results)} queries -> {out / 'selected.jsonl'}")
-    return _report_failures(batch)
+    out, done, failures = _stream_batch(args, select, "selected.jsonl", selection_line)
+    print(f"selected for {done} queries -> {out / 'selected.jsonl'}")
+    return _report_failures(failures)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:

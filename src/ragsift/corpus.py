@@ -22,7 +22,7 @@ class LoadError(ValueError):
     """A file failed validation; the message names the offending line."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Passage:
     """A retrievable unit of text with an opaque identifier."""
 
@@ -31,13 +31,13 @@ class Passage:
     title: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Query:
     query_id: str
     text: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CandidateEntry:
     doc_id: str
     score: float
@@ -263,21 +263,12 @@ def load_run(path: str | Path, max_depth: int = 100) -> dict[str, CandidateList]
     return run
 
 
-def write_run(run: Mapping[str, CandidateList], path: str | Path, tag: str = "ragsift") -> None:
-    """Write candidate lists back to TREC 6-column format, sorted by query_id."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for qid in sorted(run):
-            for e in run[qid].entries:
-                fh.write(f"{qid} Q0 {e.doc_id} {e.rank} {e.score:g} {tag}\n")
-
-
-def ranking_to_candidates(query_id: str, doc_ids: Sequence[str]) -> CandidateList:
-    """Build a CandidateList from an engine ranking, scoring 1/rank."""
-    entries = tuple(
-        CandidateEntry(doc_id=d, score=1.0 / (i + 1), rank=i + 1) for i, d in enumerate(doc_ids)
+def trec_lines(query_id: str, doc_ids: Sequence[str], tag: str) -> str:
+    """One query's ranking as TREC 6-column lines, scoring 1/rank."""
+    return "".join(
+        f"{query_id} Q0 {doc_id} {rank} {1.0 / rank:g} {tag}\n"
+        for rank, doc_id in enumerate(doc_ids, 1)
     )
-    return CandidateList(query_id=query_id, entries=entries)
 
 
 def load_qrels(path: str | Path) -> Qrels:

@@ -9,16 +9,28 @@ queries run concurrently on a thread pool. Failures follow a skip-and-record
 policy: a query whose judge transport dies is recorded with its partial
 trace and the batch keeps going, since long judged runs must survive
 transient endpoint faults.
+
+Outcomes stream: each query's outcome is handed back, in query_id order, as
+soon as it and every query before it are done, so a caller that writes and
+drops each one holds only the queries in flight.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Generic, Mapping, Sequence, TypeVar
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import dataclass
+from typing import Callable, Generator, Mapping, Sequence, TypeVar
 
-from .corpus import CandidateList, Corpus, Query, check_run_resolves, resolve_candidates
+from .corpus import (
+    CandidateList,
+    Corpus,
+    Passage,
+    Query,
+    check_run_resolves,
+    resolve_candidates,
+)
 from .judge import Judge
 from .prompting import PromptBudget, PromptTemplate
 from .windowing import EngineAbort, WindowConfig, WindowTrace
@@ -27,8 +39,12 @@ logger = logging.getLogger(__name__)
 
 T = TypeVar("T")
 
-# skipped query ids named in the summary warning; the full list is in BatchResult
+# skipped query ids named in the summary warning
 _LOGGED_IDS = 5
+
+# queries submitted per worker ahead of the oldest unfinished one; bounds
+# the finished outcomes that wait for a slow query before them
+_AHEAD_PER_WORKER = 32
 
 
 @dataclass
@@ -36,28 +52,6 @@ class QueryFailure:
     query_id: str
     error: str
     partial_trace: WindowTrace | None = None
-
-
-@dataclass
-class BatchResult(Generic[T]):
-    """Per-query outcomes keyed by query_id, plus recorded failures."""
-
-    results: dict[str, T] = field(default_factory=dict)
-    failures: list[QueryFailure] = field(default_factory=list)
-    skipped: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def traces(self) -> list[WindowTrace]:
-        ordered = [self.results[qid].trace for qid in sorted(self.results)]
-        ordered.extend(
-            f.partial_trace
-            for f in sorted(self.failures, key=lambda f: f.query_id)
-            if f.partial_trace is not None
-        )
-        return ordered
 
 
 def run_batch(
@@ -70,52 +64,68 @@ def run_batch(
     templates: tuple[PromptTemplate, PromptTemplate] | None = None,
     budget: PromptBudget | None = None,
     parallel: int = 1,
-) -> BatchResult[T]:
+) -> Generator[tuple[str, T | QueryFailure], None, None]:
     """Run ``engine`` over every query that has candidates, ``parallel`` at a time.
 
     ``engine`` is called as ``engine(query, passages, judge, cfg, templates,
     budget)``: ``rerank``, ``select``, or a single-window engine such as
-    ``annotate_query``. Results come back keyed and ordered by query_id
-    whatever ``parallel`` is; queries without candidates are skipped and
-    listed in ``skipped``.
+    ``annotate_query``. Returns a generator of ``(query_id, outcome)`` in
+    query_id order whatever ``parallel`` is; the outcome is the engine's
+    result, or a ``QueryFailure`` for a query the judge transport aborted.
+    The run is checked against the corpus, and queries without candidates
+    are skipped with one warning, before this returns; judging starts on the
+    first ``next()``. Close the generator before closing the judge, so that
+    no worker is still judging.
     """
     check_run_resolves(corpus, run)
-    batch: BatchResult[T] = BatchResult()
-    jobs: list[tuple[Query, list]] = []
+    jobs: list[tuple[Query, list[Passage]]] = []
+    skipped: list[str] = []
     for query in sorted(queries, key=lambda q: q.query_id):
         candidates = run.get(query.query_id)
         if candidates is None or not candidates.entries:
-            batch.skipped.append(query.query_id)
-            continue
-        jobs.append((query, resolve_candidates(corpus, candidates)))
-    if batch.skipped:
-        more = ", ..." if len(batch.skipped) > _LOGGED_IDS else ""
+            skipped.append(query.query_id)
+        else:
+            jobs.append((query, resolve_candidates(corpus, candidates)))
+    if skipped:
+        more = ", ..." if len(skipped) > _LOGGED_IDS else ""
         logger.warning(
             "skipped %d queries with no candidates: %s%s",
-            len(batch.skipped),
-            ", ".join(batch.skipped[:_LOGGED_IDS]),
+            len(skipped),
+            ", ".join(skipped[:_LOGGED_IDS]),
             more,
         )
 
-    def _one(job: tuple[Query, list]) -> tuple[str, T | None, QueryFailure | None]:
+    def one(job: tuple[Query, list[Passage]]) -> tuple[str, T | QueryFailure]:
         query, passages = job
         try:
-            return query.query_id, engine(query, passages, judge, cfg, templates, budget), None
+            return query.query_id, engine(query, passages, judge, cfg, templates, budget)
         except EngineAbort as exc:
-            return query.query_id, None, QueryFailure(
-                query_id=query.query_id, error=str(exc.cause), partial_trace=exc.trace
-            )
+            logger.warning("query %s aborted: %s", query.query_id, exc.cause)
+            return query.query_id, QueryFailure(query.query_id, str(exc.cause), exc.trace)
 
     if parallel <= 1:
-        outcomes = [_one(job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            outcomes = list(pool.map(_one, jobs))
+        return (one(job) for job in jobs)
+    return _in_order(one, jobs, parallel)
 
-    for qid, result, failure in outcomes:
-        if failure is not None:
-            logger.warning("query %s aborted: %s", qid, failure.error)
-            batch.failures.append(failure)
-        elif result is not None:
-            batch.results[qid] = result
-    return batch
+
+def _in_order(
+    fn: Callable[[tuple[Query, list[Passage]]], T],
+    jobs: list[tuple[Query, list[Passage]]],
+    parallel: int,
+) -> Generator[T, None, None]:
+    """``fn`` over ``jobs`` on ``parallel`` threads, yielded in job order.
+
+    When the consumer stops early or a job raises, queued jobs are cancelled
+    and the running ones finish before the exception propagates.
+    """
+    pool = ThreadPoolExecutor(max_workers=parallel)
+    pending: deque[Future[T]] = deque()
+    try:
+        for job in jobs:
+            pending.append(pool.submit(fn, job))
+            if len(pending) > parallel * _AHEAD_PER_WORKER:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)

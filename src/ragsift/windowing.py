@@ -77,7 +77,6 @@ class WindowTrace:
 
     query_id: str
     windows: list[WindowRecord]
-    judged_passage_count: int = 0
     prompt_char_count: int = 0
 
     @property
@@ -86,7 +85,6 @@ class WindowTrace:
 
     def record(self, rec: WindowRecord, prompt: RenderedPrompt) -> None:
         self.windows.append(rec)
-        self.judged_passage_count += len(rec.carried) + len(rec.fresh)
         self.prompt_char_count += prompt.char_count()
 
     def to_jsonl_records(self) -> list[dict]:
@@ -334,33 +332,27 @@ def cut(ranked_ids: Sequence[str], k: int) -> list[str]:
     return list(ranked_ids[:k])
 
 
-def write_traces(traces: Sequence[WindowTrace], path: str | Path) -> None:
-    """Append-style audit file: one JSONL window record per line."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for trace in traces:
-            for rec in trace.to_jsonl_records():
-                fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+def trace_lines(trace: WindowTrace) -> str:
+    """One query's audit trail: one JSONL window record per line."""
+    return "".join(
+        json.dumps(rec, ensure_ascii=False) + "\n" for rec in trace.to_jsonl_records()
+    )
 
 
-def write_selection_file(results: dict[str, SelectionResult], path: str | Path) -> None:
-    """Selection output: JSONL with the final queue and per-window pseudo answers."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for qid in sorted(results):
-            res = results[qid]
-            fh.write(
-                json.dumps(
-                    {
-                        "query_id": qid,
-                        "selected": res.selected_ids,
-                        "pseudo_answers": res.pseudo_answers,
-                        "windows": res.trace.window_count,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+def selection_line(query_id: str, result: SelectionResult) -> str:
+    """One query's selection JSONL line: the final queue and per-window pseudo answers."""
+    return (
+        json.dumps(
+            {
+                "query_id": query_id,
+                "selected": result.selected_ids,
+                "pseudo_answers": result.pseudo_answers,
+                "windows": result.trace.window_count,
+            },
+            ensure_ascii=False,
+        )
+        + "\n"
+    )
 
 
 def read_selection_file(path: str | Path) -> dict[str, list[str]]:

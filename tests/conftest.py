@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
-from ragsift.corpus import Passage, Qrels, Query
+from ragsift.corpus import CandidateEntry, CandidateList, Passage, Qrels, Query
 from ragsift.data import mini_dataset_dir
 from ragsift.judge import (
     SELECTION,
@@ -13,6 +14,19 @@ from ragsift.judge import (
     canonical_selection_text,
     verdict_from_text,
 )
+
+
+_TESTS_DIR = Path(__file__).parent
+
+
+def pytest_collection_modifyitems(config, items):
+    # a file handle or socket left open, on an error path too, fails its test
+    for item in items:
+        if _TESTS_DIR in item.path.parents:
+            item.add_marker(pytest.mark.filterwarnings("error::ResourceWarning"))
+            item.add_marker(
+                pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+            )
 
 
 @pytest.fixture(scope="session")
@@ -26,6 +40,12 @@ def make_passages(n: int, prefix: str = "d", text: str = "t") -> list[Passage]:
 
 def make_qrels(query_id: str, grades: dict[str, int]) -> Qrels:
     return Qrels({query_id: grades})
+
+
+def make_candidates(query_id: str, doc_ids: list[str]) -> CandidateList:
+    """A candidate list in the given order, scoring 1/rank."""
+    entries = tuple(CandidateEntry(d, 1.0 / rank, rank) for rank, d in enumerate(doc_ids, 1))
+    return CandidateList(query_id, entries)
 
 
 QUERY = Query(query_id="q1", text="what is it")

@@ -13,7 +13,7 @@ from ragsift.annotate import (
     validate_generation,
     write_training_files,
 )
-from ragsift.corpus import Corpus, Passage, Query, ranking_to_candidates
+from ragsift.corpus import Corpus, Passage, Query
 from ragsift.judge import (
     RANKING,
     SELECTION,
@@ -23,7 +23,7 @@ from ragsift.judge import (
     verdict_from_text,
 )
 from ragsift.windowing import WindowConfig
-from tests.conftest import RawTextJudge
+from tests.conftest import RawTextJudge, make_candidates
 
 
 class TestValidateGeneration:
@@ -80,7 +80,7 @@ def _mini_inputs(n_queries=3, depth=4):
     )
     queries = [Query(f"q{q}", f"question {q}") for q in range(n_queries)]
     run = {
-        f"q{q}": ranking_to_candidates(f"q{q}", [f"p{q}_{i}" for i in range(depth)])
+        f"q{q}": make_candidates(f"q{q}", [f"p{q}_{i}" for i in range(depth)])
         for q in range(n_queries)
     }
     return corpus, queries, run

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import ragsift
+from ragsift import cli
 from ragsift.cli import main
 from ragsift.corpus import load_corpus, load_run
 from ragsift.judge import OracleJudge
@@ -558,6 +559,58 @@ class TestMalformedInputs:
         assert err.startswith(f"error: {bad}: ")
         assert "line 1" in err
         assert "Traceback" not in err
+
+
+class BrokenOracle(OracleJudge):
+    """The oracle, except that it raises a non-transport error on the third query."""
+
+    def judge(self, prompt, kind, n):
+        if prompt.query_id == "q003":
+            raise ValueError("judge broke on q003")
+        return super().judge(prompt, kind, n)
+
+
+class TestStreamedOutputs:
+    @pytest.mark.parametrize("parallel", ["1", "4"])
+    @pytest.mark.parametrize("command, output", [("rerank", "run.trec"), ("select", "selected.jsonl")])
+    def test_failed_run_writes_nothing_and_keeps_earlier_outputs(
+        self, mini_dir, tmp_path, monkeypatch, capsys, command, output, parallel
+    ):
+        out = tmp_path / "out"
+        flags = [command, *_mini_flags(mini_dir), "--depth", "10", "--w", "4", "--s", "2"]
+        flags += ["--trace", "--parallel", parallel, "--out", str(out)]
+        assert main(flags) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(before) == sorted([output, "trace.jsonl", "manifest.json"])
+
+        monkeypatch.setattr(
+            cli, "_build_judge", lambda args, qrels=None: BrokenOracle(qrels, args.threshold)
+        )
+        assert main(flags) == 1
+        assert "judge broke on q003" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_failed_run_into_a_new_directory_leaves_it_empty(self, mini_dir, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            cli, "_build_judge", lambda args, qrels=None: BrokenOracle(qrels, args.threshold)
+        )
+        out = tmp_path / "out"
+        assert _rerank(mini_dir, out, ["--trace"]) == 1
+        assert list(out.iterdir()) == []
+
+    def test_outputs_keep_partial_names_until_the_batch_ends(self, mini_dir, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        seen = []
+
+        class Watcher(OracleJudge):
+            def judge(self, prompt, kind, n):
+                seen.append(sorted(p.name for p in out.iterdir()))
+                return super().judge(prompt, kind, n)
+
+        monkeypatch.setattr(cli, "_build_judge", lambda args, qrels=None: Watcher(qrels))
+        assert _rerank(mini_dir, out, ["--trace"]) == 0
+        assert seen and all(names == ["run.trec.partial", "trace.jsonl.partial"] for names in seen)
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "run.trec", "trace.jsonl"]
 
 
 class TestEntryPoints:

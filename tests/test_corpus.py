@@ -18,13 +18,13 @@ from ragsift.corpus import (
     load_qrels,
     load_queries,
     load_run,
-    ranking_to_candidates,
     resolve_candidates,
-    write_run,
+    trec_lines,
 )
 from ragsift.judge import ReplayJudge
 from ragsift.metrics import load_predictions
 from ragsift.windowing import read_selection_file
+from tests.conftest import make_candidates
 
 
 def _write(tmp_path, name, text):
@@ -171,8 +171,15 @@ class TestLoadRun:
         )
         run = load_run(original)
         out = tmp_path / "out.trec"
-        write_run(run, out, tag="bm25")
-        assert load_run(out) == run
+        out.write_text(
+            "".join(trec_lines(qid, cl.doc_ids(), tag="bm25") for qid, cl in run.items()),
+            encoding="utf-8",
+        )
+        assert out.read_text(encoding="utf-8").splitlines()[:2] == [
+            "q1 Q0 d7 1 1 bm25",
+            "q1 Q0 d3 2 0.5 bm25",
+        ]
+        assert load_run(out) == {qid: make_candidates(qid, cl.doc_ids()) for qid, cl in run.items()}
 
 
 class TestLoadQrels:
@@ -229,8 +236,8 @@ class TestResolution:
     def test_fail_fast_lists_all_unresolved(self):
         corpus = Corpus([Passage("d1", "a")])
         run = {
-            "q1": ranking_to_candidates("q1", ["d1", "dX"]),
-            "q2": ranking_to_candidates("q2", ["dY"]),
+            "q1": make_candidates("q1", ["d1", "dX"]),
+            "q2": make_candidates("q2", ["dY"]),
         }
         with pytest.raises(LoadError) as exc:
             check_run_resolves(corpus, run)

@@ -1,4 +1,5 @@
-"""Golden bytes: every output of the mini dataset under the oracle judge.
+"""Golden bytes: every output of the mini dataset under the oracle judge, and
+of replayed runs in which some queries abort.
 
 Outputs and recorded transcripts must stay byte-identical across refactors.
 Transcript bytes pin the rendered prompts, since ``ReplayJudge`` looks
@@ -96,3 +97,57 @@ def output_digests(name: str, mini_dir, tmp_path) -> dict[str, str]:
 @pytest.mark.parametrize("name", sorted(GEOMETRY))
 def test_outputs_match_golden_bytes(name, mini_dir, tmp_path):
     assert output_digests(name, mini_dir, tmp_path) == GOLDEN[name]
+
+
+# Replayed runs whose transcript lacks some windows: each query whose window is
+# missing aborts, so these pin the order of the partial traces and the exit-2 report.
+# The transcript is recorded at --parallel 1, so its line i is the i-th window
+# judged in query_id order.
+DROPPED_WINDOWS = {
+    "rerank": {0, 6, 45, 79},
+    "select": {0, 7, 30, 55},
+}
+
+ABORTED_GOLDEN = {
+    "rerank": {
+        "run.trec": "94c2f993f04f4105028dda4a0189917d1bd638da7afa538c68eb44a891ffec24",
+        "trace.jsonl": "9f429b5b7b41824343a1a32aa94a5a304a3d651dbafad4e6d14bf75ddbd8166c",
+    },
+    "select": {
+        "selected.jsonl": "442935a835fed60dd5e1d22c456e8e6029630ee4350c026f862c5f3bceb95165",
+        "trace.jsonl": "5c9c3c16043f3717627d3bafb41204f6e671429d1a214e5ab7c896248856555b",
+    },
+}
+
+ABORTED_LINE = {
+    "rerank": "aborted queries (4): q001, q002, q012, q020",
+    "select": "aborted queries (4): q001, q003, q009, q016",
+}
+
+
+@pytest.mark.parametrize("parallel", ["1", "4"])
+@pytest.mark.parametrize("command", sorted(DROPPED_WINDOWS))
+def test_aborted_queries_match_golden_bytes(command, parallel, mini_dir, tmp_path, capsys):
+    flags = [command, *_mini_flags(mini_dir), *GEOMETRY[command]]
+    full, gappy = tmp_path / "full.jsonl", tmp_path / "gappy.jsonl"
+    record = ["--judge", "oracle", "--transcript", str(full), "--out", str(tmp_path / "rec")]
+    assert main(flags + record) == 0
+    lines = full.read_text(encoding="utf-8").splitlines(keepends=True)
+    gappy.write_text(
+        "".join(line for i, line in enumerate(lines) if i not in DROPPED_WINDOWS[command]),
+        encoding="utf-8",
+    )
+    capsys.readouterr()
+
+    out = tmp_path / "replay"
+    replay = ["--judge", "replay", "--transcript", str(gappy), "--parallel", parallel]
+    assert main(flags + replay + ["--out", str(out)]) == 2
+    err_lines = capsys.readouterr().err.splitlines()
+    assert [line for line in err_lines if line.startswith("aborted queries")] == [
+        ABORTED_LINE[command]
+    ]
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in OUTPUTS[command]
+    }
+    assert digests == ABORTED_GOLDEN[command]

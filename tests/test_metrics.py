@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ragsift.corpus import Qrels, ranking_to_candidates
+from ragsift.corpus import Qrels
 from ragsift.metrics import (
     MetricsReport,
     answer_em_f1,
@@ -19,6 +19,7 @@ from ragsift.metrics import (
     ndcg_query,
     normalize_answer,
 )
+from tests.conftest import make_candidates
 
 
 class TestNormalizeAnswer:
@@ -140,8 +141,8 @@ class TestNdcg:
     def test_query_missing_from_qrels_counts_as_zero(self):
         qrels = Qrels({"q1": {"d1": 2}})
         run = {
-            "q1": ranking_to_candidates("q1", ["d1"]),
-            "q2": ranking_to_candidates("q2", ["d9"]),
+            "q1": make_candidates("q1", ["d1"]),
+            "q2": make_candidates("q2", ["d9"]),
         }
         assert ndcg_at_k(run, qrels, 10) == pytest.approx(0.5)
 
@@ -167,8 +168,8 @@ class TestNdcg:
     def test_mean_insensitive_to_iteration_order(self):
         qrels = Qrels({"q1": {"d1": 2}, "q2": {"d2": 1, "d3": 3}})
         run_a = {
-            "q1": ranking_to_candidates("q1", ["d1", "d2"]),
-            "q2": ranking_to_candidates("q2", ["d3", "d2"]),
+            "q1": make_candidates("q1", ["d1", "d2"]),
+            "q2": make_candidates("q2", ["d3", "d2"]),
         }
         run_b = dict(reversed(list(run_a.items())))
         assert ndcg_at_k(run_a, qrels, 5) == ndcg_at_k(run_b, qrels, 5)

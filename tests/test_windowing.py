@@ -279,9 +279,6 @@ class TestTraceTotals:
         passages, qrels = _grades_qrels([1, 0, 2, 0, 1, 0, 0, 2])
         result = rerank(QUERY, passages, OracleJudge(qrels), WindowConfig(8, 4, 2))
         assert result.trace.window_count == len(result.trace.windows)
-        assert result.trace.judged_passage_count == sum(
-            len(r.carried) + len(r.fresh) for r in result.trace.windows
-        )
         assert result.trace.prompt_char_count > 0
 
     def test_queries_differ(self):
