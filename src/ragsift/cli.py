@@ -2,7 +2,7 @@
 
 Every command writes a manifest next to its outputs recording resolved
 parameters, input digests, the seed, and the tool version; re-running with
-the same inputs (and replay transcript, when judging) reproduces the output
+the same inputs (and transcript, when judging) reproduces the output
 artifacts byte for byte. Exit codes: 0 success, 1 unusable inputs or
 configuration, 2 partial success (some queries aborted).
 """
@@ -35,7 +35,7 @@ from .corpus import (
     trec_lines,
 )
 from .costsim import parse_profile_spec, ranking_cost, simulate
-from .judge import Judge, JudgeEndpointConfig, OracleJudge, RecordingJudge, RemoteJudge, ReplayJudge
+from .judge import Judge, JudgeEndpointConfig, OracleJudge, RemoteJudge, TranscriptJudge
 from .metrics import (
     MetricsReport,
     evaluate_answers,
@@ -120,14 +120,14 @@ def _manifest(args: argparse.Namespace, input_flags: list[str]) -> RunManifest:
 
 
 def _build_judge(args: argparse.Namespace, qrels=None) -> Judge:
+    judge: Judge | None = None
     if args.judge == "oracle":
         if qrels is None:
             raise LoadError("--judge oracle requires --qrels")
-        judge: Judge = OracleJudge(qrels, selection_threshold=args.threshold)
+        judge = OracleJudge(qrels, selection_threshold=args.threshold)
     elif args.judge == "replay":
         if not args.transcript:
             raise LoadError("--judge replay requires --transcript")
-        return ReplayJudge(args.transcript)
     elif args.judge == "endpoint":
         if not args.endpoint_url or not args.model:
             raise LoadError("--judge endpoint requires --endpoint-url and --model")
@@ -141,8 +141,8 @@ def _build_judge(args: argparse.Namespace, qrels=None) -> Judge:
     else:
         raise LoadError(f"unknown judge kind {args.judge!r}")
     if args.transcript:
-        # with a live judge, --transcript records instead of replaying
-        judge = RecordingJudge(judge, args.transcript)
+        # the transcript answers what it holds; a live judge answers and records the rest
+        return TranscriptJudge(args.transcript, judge)
     return judge
 
 
@@ -361,7 +361,8 @@ def _add_judge_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--transcript",
-        help="transcript JSONL: replayed with --judge replay, recorded otherwise",
+        help="transcript JSONL: prompts it holds are answered from it; a live judge "
+        "answers the rest and appends them, so a rerun resumes (--judge replay only reads it)",
     )
     p.add_argument("--templates", help="prompt template file (defaults built in)")
     p.add_argument(

@@ -6,10 +6,13 @@ order (strip free text, keep first occurrence of each identifier, drop
 out-of-range identifiers, append missing ones in ascending order) and the
 tag list is reported in a fixed canonical order so fixtures are stable.
 
-Three judge families share one interface: a remote OpenAI-compatible chat
-endpoint, a qrels-backed oracle, and a transcript replay for reproducible
-tests. Judge calls are retried only on transport failure, never on content
-that merely needed repair.
+Two live judges share one interface: a remote OpenAI-compatible chat
+endpoint and a qrels-backed oracle. A transcript judge answers from a file
+of recorded replies and hands any prompt the file lacks to a live judge,
+recording its reply; without one it only replays. Rerunning a command with
+the same transcript therefore pays only for the windows not yet judged.
+Judge calls are retried only on transport failure, never on content that
+merely needed repair.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ _TAG_ORDER = (DEDUP, OUT_OF_RANGE_DROPPED, MISSING_APPENDED, FREE_TEXT_STRIPPED,
 
 
 class JudgeTransportError(RuntimeError):
-    """The judge could not be reached (or a replay transcript had no entry)."""
+    """The judge could not be reached (or a transcript with no live judge had no entry)."""
 
     def __init__(self, message: str, query_id: str | None = None):
         super().__init__(message)
@@ -331,12 +334,13 @@ class RemoteJudge(Judge):
     5xx replies with exponential backoff plus jitter. A reused connection
     that the server closed while it sat idle is reopened once at once,
     without spending an attempt. Any other non-2xx reply (429 included) and a
-    malformed 2xx reply are fatal. A response that parsed, even after repair,
-    is never retried.
+    malformed 2xx reply, one whose message content is neither a string nor
+    null included, are fatal. A response that parsed, even after repair, is
+    never retried.
     """
 
     def __init__(self, config: JudgeEndpointConfig):
-        # imported here, so that oracle and replay runs skip its start-up cost
+        # imported here, so that oracle and transcript-only runs skip its start-up cost
         from http.client import HTTPConnection, HTTPSConnection
 
         url = urlsplit(config.base_url.rstrip("/") + "/chat/completions")
@@ -443,8 +447,10 @@ class RemoteJudge(Judge):
                     query_id=prompt.query_id,
                 )
             try:
-                reply = json.loads(data)
-                return reply["choices"][0]["message"]["content"] or ""
+                content = json.loads(data)["choices"][0]["message"]["content"]
+                if not isinstance(content, (str, type(None))):
+                    raise TypeError(f"message content is {type(content).__name__}, not a string")
+                return content or ""
             except (ValueError, KeyError, IndexError, TypeError) as exc:
                 raise JudgeTransportError(
                     f"malformed endpoint response: {exc}", query_id=prompt.query_id
@@ -468,47 +474,55 @@ def prompt_sha256(prompt: RenderedPrompt) -> str:
     return hashlib.sha256(prompt.full_text().encode("utf-8")).hexdigest()
 
 
-class ReplayJudge(Judge):
-    """Replays recorded responses keyed by prompt hash from a transcript file."""
+class TranscriptJudge(Judge):
+    """Answers from a transcript of raw replies keyed by prompt hash; ``inner`` judges the rest.
 
-    def __init__(self, transcript_path: str | Path):
+    The transcript, JSONL ``{prompt_sha256, response_text}``, is read once
+    here. A prompt it holds is answered from it. Any other prompt goes to
+    ``inner``, and the raw reply is appended as soon as it is judged, so a
+    rerun with the same transcript pays only for the windows it lacks. With
+    no ``inner`` the file must exist, is never written, and a prompt it
+    lacks raises ``JudgeTransportError``. Replies appended during this run
+    are not looked up again, so a fresh recording has one line per window.
+    """
+
+    def __init__(self, path: str | Path, inner: Judge | None = None):
+        self.inner = inner
+        self._path = Path(path)
+        self._lock = threading.Lock()
         self._responses: dict[str, str] = {}
-        for lineno, rec in jsonl_records(Path(transcript_path)):
-            digest, text = rec.get("prompt_sha256"), rec.get("response_text")
-            if not isinstance(digest, str) or not isinstance(text, str):
-                raise LoadError(
-                    f"{transcript_path}: missing prompt_sha256 or response_text at line {lineno}"
-                )
-            self._responses[digest] = text
+        try:
+            for lineno, rec in jsonl_records(self._path):
+                digest, text = rec.get("prompt_sha256"), rec.get("response_text")
+                if not isinstance(digest, str) or not isinstance(text, str):
+                    raise LoadError(
+                        f"{path}: missing prompt_sha256 or response_text at line {lineno}"
+                    )
+                self._responses[digest] = text
+        except FileNotFoundError:
+            if inner is None:
+                raise
+            self._path.parent.mkdir(parents=True, exist_ok=True)
 
     def __len__(self) -> int:
         return len(self._responses)
 
     def judge(self, prompt: RenderedPrompt, kind: str, n: int) -> JudgeVerdict:
         digest = prompt_sha256(prompt)
-        if digest not in self._responses:
+        text = self._responses.get(digest)
+        if text is not None:
+            return verdict_from_text(text, kind, n)
+        if self.inner is None:
             raise JudgeTransportError(
                 f"transcript has no response for prompt {digest[:12]}...",
                 query_id=prompt.query_id,
             )
-        return verdict_from_text(self._responses[digest], kind, n)
-
-
-class RecordingJudge(Judge):
-    """Wraps another judge and appends (prompt hash, raw response) to a transcript."""
-
-    def __init__(self, inner: Judge, transcript_path: str | Path):
-        self.inner = inner
-        self._path = Path(transcript_path)
-        self._lock = threading.Lock()
-        self._path.parent.mkdir(parents=True, exist_ok=True)
-
-    def judge(self, prompt: RenderedPrompt, kind: str, n: int) -> JudgeVerdict:
         verdict = self.inner.judge(prompt, kind, n)
-        record = {"prompt_sha256": prompt_sha256(prompt), "response_text": verdict.raw_text}
+        record = {"prompt_sha256": digest, "response_text": verdict.raw_text}
         with self._lock, self._path.open("a", encoding="utf-8") as fh:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
         return verdict
 
     def close(self) -> None:
-        self.inner.close()
+        if self.inner is not None:
+            self.inner.close()

@@ -8,13 +8,12 @@ always produce byte-identical prompts.
 
 from __future__ import annotations
 
-import bisect
 import re
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .corpus import Passage, Query
 
@@ -91,15 +90,10 @@ class PromptTemplate:
 
 @dataclass(frozen=True)
 class PromptBudget:
-    """Per-passage length budget.
-
-    By default a token is approximated as ``chars_per_token`` characters; pass
-    ``count_tokens`` to drive truncation with an exact tokenizer instead.
-    """
+    """Per-passage length budget; a token is approximated as ``chars_per_token`` characters."""
 
     per_passage_tokens: int = 300
     chars_per_token: float = 4.0
-    count_tokens: Callable[[str], int] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.per_passage_tokens < 1:
@@ -136,44 +130,21 @@ class RenderedPrompt:
 _THROUGH_LAST_WHITESPACE = re.compile(r".*\s", re.DOTALL)
 
 
-def _whitespace_boundaries(text: str) -> list[int]:
-    return [m.start() for m in re.finditer(r"\s", text)]
-
-
 def truncate_text(text: str, budget: PromptBudget) -> str:
     """Truncate ``text`` to the per-passage budget at a whitespace boundary.
 
-    With the default character approximation the cut point is the last
-    whitespace at or before ``per_passage_tokens * chars_per_token``
-    characters. With an exact ``count_tokens`` callable, the longest
-    non-empty whitespace-bounded prefix within budget is found by bisection
-    (token counts are assumed non-decreasing in prefix length). A first token
-    over budget, alone or preceded only by whitespace, falls back to a hard
-    character cut: the character limit with the approximation, the longest
-    prefix the counter accepts with ``count_tokens``. Python slicing
-    operates on code points, so no unicode scalar is ever split.
+    The cut point is the last whitespace at or before ``per_passage_tokens *
+    chars_per_token`` characters. A first token over budget, alone or
+    preceded only by whitespace, falls back to a hard cut at that character
+    limit. Python slicing operates on code points, so no unicode scalar is
+    ever split.
     """
-    counter = budget.count_tokens
-    if counter is None:
-        limit = int(budget.per_passage_tokens * budget.chars_per_token)
-        if len(text) <= limit:
-            return text
-        m = _THROUGH_LAST_WHITESPACE.match(text, 0, limit)
-        kept = text[: m.end() - 1].rstrip() if m else ""
-        return kept or text[:limit]
-
-    limit = budget.per_passage_tokens
-    if counter(text) <= limit:
+    limit = int(budget.per_passage_tokens * budget.chars_per_token)
+    if len(text) <= limit:
         return text
-    # whitespace inside the leading run would cut an empty prefix
-    start = len(text) - len(text.lstrip())
-    cuts = [b for b in _whitespace_boundaries(text) if b > start]
-    fit = bisect.bisect_right(cuts, limit, key=lambda b: counter(text[:b].rstrip()))
-    if fit:
-        return text[: cuts[fit - 1]].rstrip()
-    # even the first token is over budget: the longest prefix the counter accepts
-    ends = range(1, len(text) + 1)
-    return text[: bisect.bisect_right(ends, limit, key=lambda e: counter(text[:e]))]
+    m = _THROUGH_LAST_WHITESPACE.match(text, 0, limit)
+    kept = text[: m.end() - 1].rstrip() if m else ""
+    return kept or text[:limit]
 
 
 def render(

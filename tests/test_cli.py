@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import shutil
@@ -13,7 +14,7 @@ import ragsift
 from ragsift import cli
 from ragsift.cli import main
 from ragsift.corpus import load_corpus, load_run
-from ragsift.judge import OracleJudge
+from ragsift.judge import OracleJudge, prompt_sha256
 from ragsift.windowing import read_selection_file
 
 
@@ -543,8 +544,17 @@ class TestMalformedInputs:
             ("selection", '{"query_id": "q1"}'),
             ("transcript", '{"prompt_sha256": "ab"}'),
             ("transcript", "not json"),
+            # a live judge checks the transcript it would append to, too
+            ("recorded-transcript", '{"prompt_sha256": "ab"}'),
+            ("recorded-transcript", "not json"),
         ],
-        ids=["selection-missing-field", "transcript-missing-field", "transcript-bad-json"],
+        ids=[
+            "selection-missing-field",
+            "transcript-missing-field",
+            "transcript-bad-json",
+            "recorded-transcript-missing-field",
+            "recorded-transcript-bad-json",
+        ],
     )
     def test_bad_line_exits_1_naming_file_and_line(self, mini_dir, tmp_path, capsys, flag, line):
         bad = tmp_path / f"{flag}.jsonl"
@@ -552,13 +562,15 @@ class TestMalformedInputs:
         if flag == "selection":
             command = ["evaluate", "--selection", str(bad), "--qrels", str(mini_dir / "qrels.txt")]
         else:
-            command = ["select", *_mini_flags(mini_dir), "--judge", "replay", "--transcript", str(bad)]
+            judge = "replay" if flag == "transcript" else "oracle"
+            command = ["select", *_mini_flags(mini_dir), "--judge", judge, "--transcript", str(bad)]
         code = main([*command, "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith(f"error: {bad}: ")
         assert "line 1" in err
         assert "Traceback" not in err
+        assert bad.read_text(encoding="utf-8") == line + "\n"
 
 
 class BrokenOracle(OracleJudge):
@@ -611,6 +623,188 @@ class TestStreamedOutputs:
         assert _rerank(mini_dir, out, ["--trace"]) == 0
         assert seen and all(names == ["run.trec.partial", "trace.jsonl.partial"] for names in seen)
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "run.trec", "trace.jsonl"]
+
+
+def _counting_oracle(monkeypatch) -> list[str]:
+    """Put an oracle that logs the hash of every prompt it judges into the CLI; return the log."""
+    seen: list[str] = []
+
+    class CountingOracle(OracleJudge):
+        def judge(self, prompt, kind, n):
+            seen.append(prompt_sha256(prompt))
+            return super().judge(prompt, kind, n)
+
+    monkeypatch.setattr(cli, "OracleJudge", CountingOracle)
+    return seen
+
+
+def _transcript_lines(path: Path) -> list[str]:
+    return path.read_text(encoding="utf-8").splitlines()
+
+
+def _write_lines(path: Path, lines: list[str]) -> None:
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
+RESUMED_COMMANDS = ["rerank", "select", "annotate-selection"]
+
+
+class TestResume:
+    """Rerunning a command with the same --transcript pays only for the windows it lacks."""
+
+    def _clean_run(self, mini_dir, tmp_path, name):
+        """Record a clean run at --parallel 1; return its argv head, outputs and transcript."""
+        head, files = BATCH_COMMANDS[name]
+        head = [*head, *_mini_flags(mini_dir)]
+        out, transcript = tmp_path / "clean", tmp_path / "clean.jsonl"
+        argv = [*head, "--judge", "oracle", "--transcript", str(transcript), "--out", str(out)]
+        assert main(argv) == 0
+        return head, [(out / f).read_bytes() for f in files], transcript
+
+    @pytest.mark.parametrize("parallel", ["1", "4"])
+    @pytest.mark.parametrize("name", RESUMED_COMMANDS)
+    def test_rerun_pays_exactly_the_dropped_windows(
+        self, mini_dir, tmp_path, monkeypatch, name, parallel
+    ):
+        head, clean, full = self._clean_run(mini_dir, tmp_path, name)
+        lines = _transcript_lines(full)
+        dropped = [lines[i] for i in (1, 4, 5, 13)]
+        gappy = tmp_path / "gappy.jsonl"
+        _write_lines(gappy, [line for line in lines if line not in dropped])
+
+        seen = _counting_oracle(monkeypatch)
+        out = tmp_path / "resumed"
+        judge = ["--judge", "oracle", "--transcript", str(gappy), "--parallel", parallel]
+        assert main([*head, *judge, "--out", str(out)]) == 0
+        assert sorted(seen) == sorted(json.loads(line)["prompt_sha256"] for line in dropped)
+        resumed = _transcript_lines(gappy)
+        assert len(resumed) == len(lines)
+        assert sorted(resumed) == sorted(lines)
+        assert [(out / f).read_bytes() for f in BATCH_COMMANDS[name][1]] == clean
+
+    @pytest.mark.parametrize("parallel", ["1", "4"])
+    @pytest.mark.parametrize("name", RESUMED_COMMANDS)
+    def test_rerun_after_a_crash_never_pays_twice(
+        self, mini_dir, tmp_path, monkeypatch, name, parallel
+    ):
+        head, clean, full = self._clean_run(mini_dir, tmp_path, name)
+        transcript = tmp_path / "crashed.jsonl"
+        judge = ["--judge", "oracle", "--transcript", str(transcript), "--parallel", parallel]
+        # the crash stands in for a killed run: exit 1 after some windows were recorded
+        monkeypatch.setattr(cli, "OracleJudge", BrokenOracle)
+        assert main([*head, *judge, "--out", str(tmp_path / "crashed")]) == 1
+        recorded = _transcript_lines(transcript)
+        assert recorded
+
+        seen = _counting_oracle(monkeypatch)
+        out = tmp_path / "resumed"
+        assert main([*head, *judge, "--out", str(out)]) == 0
+        assert not set(seen) & {json.loads(line)["prompt_sha256"] for line in recorded}
+        assert len(recorded) + len(seen) == len(_transcript_lines(full))
+        assert sorted(_transcript_lines(transcript)) == sorted(_transcript_lines(full))
+        assert [(out / f).read_bytes() for f in BATCH_COMMANDS[name][1]] == clean
+
+    def test_replay_never_writes_the_transcript(self, mini_dir, tmp_path, capsys):
+        head, _, full = self._clean_run(mini_dir, tmp_path, "select")
+        gappy = tmp_path / "gappy.jsonl"
+        _write_lines(gappy, _transcript_lines(full)[1:])
+        before = gappy.read_bytes()
+        replay = ["--judge", "replay", "--transcript", str(gappy), "--out", str(tmp_path / "out")]
+        assert main([*head, *replay]) == 2
+        assert "aborted queries" in capsys.readouterr().err
+        assert gappy.read_bytes() == before
+
+    def test_replay_of_a_missing_transcript_exits_1(self, mini_dir, tmp_path, capsys):
+        missing = tmp_path / "missing.jsonl"
+        replay = ["--judge", "replay", "--transcript", str(missing), "--out", str(tmp_path / "out")]
+        assert main(["select", *_mini_flags(mini_dir), *replay]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
+        assert "Traceback" not in err
+        assert not missing.exists()
+
+
+# the options every batch command shares, as (option strings, default, choices, required)
+_HELP = (("-h", "--help"), argparse.SUPPRESS, None, False)
+_IO_OPTIONS = [
+    (("--corpus",), None, None, True),
+    (("--queries",), None, None, True),
+    (("--run",), None, None, True),
+    (("--qrels",), None, None, False),
+    (("--out",), None, None, True),
+    (("--parallel",), 1, None, False),
+    (("--seed",), 0, None, False),
+    (("--trace",), False, None, False),
+    (("--tag",), "ragsift", None, False),
+]
+_WINDOW_OPTIONS = [
+    (("--w",), 20, None, False),
+    (("--s",), 10, None, False),
+    (("--depth",), 100, None, False),
+]
+_JUDGE_OPTIONS = [
+    (("--judge",), "oracle", ["endpoint", "oracle", "replay"], False),
+    (("--endpoint-url",), None, None, False),
+    (("--model",), None, None, False),
+    (("--threshold",), 1, None, False),
+    (("--transcript",), None, None, False),
+    (("--templates",), None, None, False),
+    (("--passage-tokens",), 300, None, False),
+]
+CLI_SURFACE = {
+    "ragsift": [_HELP, (("--version",), argparse.SUPPRESS, None, False)],
+    "rerank": [_HELP, *_IO_OPTIONS, *_WINDOW_OPTIONS, *_JUDGE_OPTIONS],
+    "select": [_HELP, *_IO_OPTIONS, *_WINDOW_OPTIONS, *_JUDGE_OPTIONS],
+    "evaluate": [
+        _HELP,
+        (("--predictions",), None, None, False),
+        (("--answers",), None, None, False),
+        (("--selection",), None, None, False),
+        (("--run",), None, None, False),
+        (("--qrels",), None, None, False),
+        (("--evidence",), None, None, False),
+        (("--k",), None, None, False),
+        (("--ndcg-k",), None, None, False),
+        (("--depth",), 100, None, False),
+        (("--threshold",), 1, None, False),
+        (("--out",), None, None, True),
+        (("--seed",), 0, None, False),
+    ],
+    "annotate": [
+        _HELP,
+        *_IO_OPTIONS,
+        (("--kind",), None, ["ranking", "selection"], True),
+        (("--w",), 20, None, False),
+        (("--depth",), 20, None, False),
+        *_JUDGE_OPTIONS,
+    ],
+    "simulate": [
+        _HELP,
+        *_WINDOW_OPTIONS,
+        (("--profile",), None, None, True),
+        (("--trials",), 10000, None, False),
+        (("--seed",), 0, None, False),
+        (("--fresh-only",), False, None, False),
+        (("--out",), None, None, True),
+    ],
+}
+
+
+def test_cli_surface_is_pinned():
+    """Every option of every command, so that adding, dropping or changing one is a visible edit."""
+
+    def options(parser):
+        return [
+            (tuple(a.option_strings), a.default, a.choices, a.required)
+            for a in parser._actions
+            if a.option_strings
+        ]
+
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {"ragsift": options(parser)}
+    surface.update((name, options(sub)) for name, sub in commands.choices.items())
+    assert surface == CLI_SURFACE
 
 
 class TestEntryPoints:

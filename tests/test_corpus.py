@@ -21,7 +21,7 @@ from ragsift.corpus import (
     resolve_candidates,
     trec_lines,
 )
-from ragsift.judge import ReplayJudge
+from ragsift.judge import TranscriptJudge
 from ragsift.metrics import load_predictions
 from ragsift.windowing import read_selection_file
 from tests.conftest import make_candidates
@@ -261,7 +261,7 @@ READERS = {
     "evidence": (load_evidence, "e.jsonl", '{"query_id": "q1", "evidence": ["d1"]}'),
     "predictions": (load_predictions, "p.jsonl", '{"query_id": "q1", "answer": "x"}'),
     "selection": (read_selection_file, "s.jsonl", '{"query_id": "q1", "selected": ["d1"]}'),
-    "transcript": (ReplayJudge, "t.jsonl", '{"prompt_sha256": "ab", "response_text": "[1]"}'),
+    "transcript": (TranscriptJudge, "t.jsonl", '{"prompt_sha256": "ab", "response_text": "[1]"}'),
 }
 
 # (reader name, defect, a line that follows a valid line and a blank one)

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ragsift
+from ragsift.cli import main
 from ragsift.judge import (
     API_KEY_ENV_VARS,
     RANKING,
@@ -24,9 +25,8 @@ from ragsift.judge import (
     JudgeTransportError,
     JudgeVerdict,
     OracleJudge,
-    RecordingJudge,
     RemoteJudge,
-    ReplayJudge,
+    TranscriptJudge,
     canonical_text,
     judge_window,
     parse_ranking,
@@ -34,7 +34,7 @@ from ragsift.judge import (
     verdict_from_text,
 )
 from ragsift.prompting import default_templates, render
-from tests.conftest import QUERY, make_passages, make_qrels
+from tests.conftest import QUERY, RawTextJudge, make_passages, make_qrels
 
 
 class TestParseRanking:
@@ -199,11 +199,11 @@ class TestReplayAndRecording:
     def test_record_then_replay_identical(self, tmp_path):
         transcript = tmp_path / "t.jsonl"
         qrels = make_qrels("q1", {"d1": 2, "d2": 0, "d3": 1})
-        recorder = RecordingJudge(OracleJudge(qrels), transcript)
+        recorder = TranscriptJudge(transcript, OracleJudge(qrels))
         prompt = _prompt(3)
         original = judge_window(recorder, prompt, RANKING, 3)
 
-        replay = ReplayJudge(transcript)
+        replay = TranscriptJudge(transcript)
         assert len(replay) == 1
         assert judge_window(replay, prompt, RANKING, 3) == original
 
@@ -211,13 +211,48 @@ class TestReplayAndRecording:
         transcript = tmp_path / "empty.jsonl"
         transcript.write_text("", encoding="utf-8")
         with pytest.raises(JudgeTransportError):
-            judge_window(ReplayJudge(transcript), _prompt(3), RANKING, 3)
+            judge_window(TranscriptJudge(transcript), _prompt(3), RANKING, 3)
+
+    def test_held_prompt_skips_inner_and_new_prompt_is_appended(self, tmp_path):
+        transcript = tmp_path / "t.jsonl"
+        recorder = TranscriptJudge(transcript, RawTextJudge(texts=["[2] > [1] > [3]"]))
+        judge_window(recorder, _prompt(3), RANKING, 3)
+        recorded = transcript.read_bytes()
+        inner = RawTextJudge(texts=["[2] > [1]"])
+        resumed = TranscriptJudge(transcript, inner)
+        assert judge_window(resumed, _prompt(3), RANKING, 3).permutation == (2, 1, 3)
+        assert inner.calls == 0 and transcript.read_bytes() == recorded
+        assert judge_window(resumed, _prompt(2), RANKING, 2).permutation == (2, 1)
+        assert inner.calls == 1
+        assert transcript.read_bytes().startswith(recorded)
+        assert len(transcript.read_text(encoding="utf-8").splitlines()) == 2
+
+    def test_replies_of_this_run_are_not_looked_up_again(self, tmp_path):
+        transcript = tmp_path / "t.jsonl"
+        inner = RawTextJudge(texts=["[1] > [2] > [3]"])
+        recorder = TranscriptJudge(transcript, inner)
+        for _ in range(2):
+            judge_window(recorder, _prompt(3), RANKING, 3)
+        assert inner.calls == 2
+        assert len(transcript.read_text(encoding="utf-8").splitlines()) == 2
+
+    def test_missing_file_is_an_error_only_without_inner(self, tmp_path):
+        transcript = tmp_path / "new" / "t.jsonl"
+        with pytest.raises(FileNotFoundError):
+            TranscriptJudge(transcript)
+        recorder = TranscriptJudge(transcript, RawTextJudge(texts=["[1] > [2] > [3]"]))
+        assert len(recorder) == 0 and not transcript.exists()
+        judge_window(recorder, _prompt(3), RANKING, 3)
+        assert len(TranscriptJudge(transcript)) == 1
 
 
 class _ChatHandler(BaseHTTPRequestHandler):
-    """Scripted chat endpoint; a ``None`` entry in ``responses`` hangs until the test ends."""
+    """Scripted chat endpoint; a ``None`` entry in ``responses`` hangs until the test ends.
 
-    responses: list[tuple[int, str] | None] = []
+    Each other entry is (status, message content); the content may be any JSON value.
+    """
+
+    responses: list[tuple[int, object] | None] = []
     requests_seen: list[dict] = []
     # (path, Authorization header) per request
     requests_meta: list[tuple[str, str | None]] = []
@@ -361,6 +396,30 @@ class TestRemoteJudge:
             judge_window(judge, _prompt(3, qid="q9"), RANKING, 3)
         assert exc.value.query_id == "q9"
 
+    @pytest.mark.parametrize(
+        "content", [7, ["[1] > [2] > [3]"], {"text": "[1] > [2] > [3]"}], ids=["int", "list", "dict"]
+    )
+    def test_non_string_content_is_malformed_and_not_retried(
+        self, chat_server, remote_judge, content
+    ):
+        url, handler = chat_server
+        handler.responses = [(200, content)]
+        judge = remote_judge(
+            base_url=url, model_name="m1", api_key="k", max_retries=2, retry_base_delay=0.01
+        )
+        with pytest.raises(JudgeTransportError, match="malformed endpoint response") as exc:
+            judge_window(judge, _prompt(3, qid="q9"), RANKING, 3)
+        assert exc.value.query_id == "q9"
+        assert len(handler.requests_seen) == 1
+
+    def test_null_content_reads_as_empty_text(self, chat_server, remote_judge):
+        url, handler = chat_server
+        handler.responses = [(200, None)]
+        judge = remote_judge(base_url=url, model_name="m1", api_key="k")
+        verdict = judge_window(judge, _prompt(3), RANKING, 3)
+        assert verdict.raw_text == ""
+        assert verdict.repairs == ("unparseable",)
+
     def test_unreachable_endpoint(self, remote_judge):
         judge = remote_judge(
             base_url="http://127.0.0.1:1/v1", model_name="m", api_key="k", max_retries=0
@@ -373,7 +432,7 @@ class TestRemoteJudge:
     ):
         url, _ = keepalive_server
         judge = remote_judge(base_url=url, model_name="m1", api_key="k")
-        recorder = RecordingJudge(judge, tmp_path / "t.jsonl")
+        recorder = TranscriptJudge(tmp_path / "t.jsonl", judge)
         workers = [
             threading.Thread(target=judge_window, args=(recorder, _prompt(3), RANKING, 3))
             for _ in range(2)
@@ -486,6 +545,29 @@ class TestKeepAliveTransport:
 def test_endpoint_url_needs_http_scheme_and_host(base_url):
     with pytest.raises(ValueError, match="http"):
         RemoteJudge(JudgeEndpointConfig(base_url=base_url, model_name="m", api_key="k"))
+
+
+def test_cli_non_string_content_aborts_only_its_query(
+    chat_server, mini_dir, tmp_path, capsys, caplog
+):
+    url, handler = chat_server
+    # the first request judges q001's only window; every later one gets a clean reply
+    handler.responses = [(200, 7)]
+    out = tmp_path / "out"
+    code = main(
+        [
+            "select",
+            *("--corpus", str(mini_dir / "corpus.jsonl"), "--queries", str(mini_dir / "queries.jsonl")),
+            *("--run", str(mini_dir / "run.trec"), "--depth", "4", "--w", "4", "--out", str(out)),
+            *("--judge", "endpoint", "--endpoint-url", url, "--model", "m1"),
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "aborted queries (1): q001" in err
+    assert "Traceback" not in err
+    assert "q001 aborted: malformed endpoint response" in caplog.text
+    assert len((out / "selected.jsonl").read_text(encoding="utf-8").splitlines()) == 19
 
 
 def test_cli_and_remote_judge_do_not_import_requests():

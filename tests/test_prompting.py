@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import math
 import string
 
 import pytest
@@ -20,11 +19,6 @@ from ragsift.prompting import (
 from tests.conftest import QUERY, make_passages
 
 
-def whitespace_token_count(text: str) -> int:
-    # independent oracle for truncation checks
-    return len(text.split())
-
-
 def scan_truncate(text: str, limit: int) -> str:
     """Reference for the character-budget path: scan every offset for the last whitespace.
 
@@ -36,21 +30,6 @@ def scan_truncate(text: str, limit: int) -> str:
     cut = max((i for i, c in enumerate(head) if c.isspace()), default=-1)
     kept = head[:cut].rstrip() if cut > 0 else ""
     return kept or head
-
-
-def scan_truncate_exact(text: str, tokens: int, count) -> str:
-    """Reference for the ``count_tokens`` path: try every whitespace cut, then every hard cut.
-
-    The longest non-empty whitespace-bounded prefix within budget wins; without one, the
-    longest character prefix within budget.
-    """
-    if count(text) <= tokens:
-        return text
-    cuts = [text[:i].rstrip() for i, c in enumerate(text) if c.isspace()]
-    fits = [cut for cut in cuts if cut and count(cut) <= tokens]
-    if fits:
-        return max(fits, key=len)
-    return max((text[:e] for e in range(len(text) + 1) if count(text[:e]) <= tokens), key=len)
 
 
 # ASCII, C1 and Unicode whitespace, plus U+200B, which str.isspace does not count
@@ -115,15 +94,6 @@ class TestRender:
 
 
 class TestTruncation:
-    def test_long_passage_within_token_budget(self):
-        text = ("word " * 2500)[:10000]
-        budget = PromptBudget(per_passage_tokens=300, count_tokens=whitespace_token_count)
-        out = truncate_text(text, budget)
-        assert whitespace_token_count(out) <= 300
-        assert text.startswith(out)
-        # cut lands on a whitespace boundary: next original char is whitespace
-        assert text[len(out)].isspace()
-
     def test_char_approximation_budget(self):
         text = "word " * 2000
         out = truncate_text(text, PromptBudget(per_passage_tokens=300, chars_per_token=4.0))
@@ -165,41 +135,6 @@ class TestTruncation:
         prompt = render(ranking, QUERY, [Passage("d1", text)], budget)
         assert prompt.user.startswith(f"[1] {out}\n\n")
         assert prompt.char_count() == len(prompt.full_text())
-
-    @pytest.mark.parametrize(
-        "text, count_tokens, kept",
-        [
-            (" " + "x" * 100, lambda t: math.ceil(len(t) / 4), 40),
-            ("  " + "x" * 100, lambda t: math.ceil(len(t) / 4), 40),
-            ("x" * 100, len, 10),
-            (" \n" + "x" * 100, len, 10),
-        ],
-    )
-    def test_exact_counter_hard_cut_is_longest_prefix_within_budget(self, text, count_tokens, kept):
-        out = truncate_text(text, PromptBudget(per_passage_tokens=10, count_tokens=count_tokens))
-        assert out == text[:kept]
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        st.text(alphabet=TRUNCATION_ALPHABET, max_size=60),
-        st.integers(1, 30),
-        st.sampled_from([len, whitespace_token_count, lambda t: math.ceil(len(t) / 4)]),
-    )
-    @example("  " + "x" * 20, 3, len)  # whitespace, then a token over budget
-    @example("ab" + " " * 5 + "cd", 3, len)  # a whitespace run across the limit
-    @example("abc def", 3, len)  # whitespace right after the limit
-    def test_exact_counter_matches_scan_reference(self, text, tokens, count_tokens):
-        budget = PromptBudget(per_passage_tokens=tokens, count_tokens=count_tokens)
-        out = truncate_text(text, budget)
-        assert out == scan_truncate_exact(text, tokens, count_tokens)
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.text(min_size=0, max_size=400), st.integers(1, 40))
-    def test_truncation_is_a_prefix_within_budget(self, text, tokens):
-        budget = PromptBudget(per_passage_tokens=tokens, count_tokens=whitespace_token_count)
-        out = truncate_text(text, budget)
-        assert text.startswith(out)
-        assert whitespace_token_count(out) <= tokens
 
 
 class TestTemplates:
