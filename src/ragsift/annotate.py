@@ -12,11 +12,9 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
-from functools import partial
-from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
-from .corpus import CandidateList, Corpus, Passage, Query
+from .corpus import Passage, Query
 from .judge import (
     DEDUP,
     FREE_TEXT_STRIPPED,
@@ -32,7 +30,6 @@ from .judge import (
     judge_window,
     verdict_from_text,
 )
-from .pipeline import run_batch
 from .prompting import PromptBudget, PromptTemplate, default_templates, render
 from .windowing import WindowConfig
 
@@ -42,6 +39,9 @@ IMPROPER_FORMAT = "improper_format"
 MISSING_IDENTIFIERS = "missing_identifiers"
 REPETITIVE = "repetitive"
 TRANSPORT = "transport"
+
+# the files an annotation run writes; training_line picks one per record
+TRAINING_FILES = ("train.jsonl", "rejected.jsonl")
 
 
 @dataclass
@@ -140,69 +140,18 @@ def annotate_query(
     )
 
 
-def annotate(
-    queries: Sequence[Query],
-    run: Mapping[str, CandidateList],
-    corpus: Corpus,
-    judge: Judge,
-    kind: str,
-    cfg: WindowConfig,
-    templates: tuple[PromptTemplate, PromptTemplate] | None = None,
-    budget: PromptBudget | None = None,
-    parallel: int = 1,
-) -> list[TrainingRecord]:
-    """Judge each query's top candidates once and build training records.
+def training_line(record: TrainingRecord) -> tuple[int, str]:
+    """The record's JSONL line, and the index of its file in ``TRAINING_FILES``.
 
-    Annotation uses a single window, so the configured depth must not exceed
-    the window size; candidate lists are truncated to the depth. Queries run
-    on the shared batch runner (``pipeline.run_batch``), so records come back
-    sorted by query_id regardless of ``parallel``.
+    A passing record is a conversation for ``train.jsonl``; a failed one goes
+    to ``rejected.jsonl`` with its defect tags and the raw teacher text.
     """
-    if kind not in (RANKING, SELECTION):
-        raise ValueError(f"unknown annotation kind {kind!r}")
-    if cfg.depth > cfg.window_size:
-        raise ValueError(
-            f"annotation is single-window: depth ({cfg.depth}) must be <= "
-            f"window_size ({cfg.window_size})"
-        )
-    engine = partial(annotate_query, kind=kind)
-    return [
-        record
-        for _, record in run_batch(
-            engine, queries, run, corpus, judge, cfg, templates, budget, parallel
-        )
-    ]
-
-
-def write_training_files(
-    records: Iterable[TrainingRecord], train_path: str | Path, rejected_path: str | Path
-) -> tuple[int, int]:
-    """Write passing records as conversation JSONL and failures to a sidecar.
-
-    Returns (passed, rejected) counts.
-    """
-    train_path = Path(train_path)
-    rejected_path = Path(rejected_path)
-    passed = rejected = 0
-    with train_path.open("w", encoding="utf-8") as train_fh, rejected_path.open(
-        "w", encoding="utf-8"
-    ) as rej_fh:
-        for rec in records:
-            if rec.passed:
-                train_fh.write(json.dumps(rec.to_messages(), ensure_ascii=False) + "\n")
-                passed += 1
-            else:
-                rej_fh.write(
-                    json.dumps(
-                        {
-                            "query_id": rec.query_id,
-                            "kind": rec.kind,
-                            "defects": rec.defects,
-                            "raw_text": rec.raw_text,
-                        },
-                        ensure_ascii=False,
-                    )
-                    + "\n"
-                )
-                rejected += 1
-    return passed, rejected
+    if record.passed:
+        return 0, json.dumps(record.to_messages(), ensure_ascii=False) + "\n"
+    rejected = {
+        "query_id": record.query_id,
+        "kind": record.kind,
+        "defects": record.defects,
+        "raw_text": record.raw_text,
+    }
+    return 1, json.dumps(rejected, ensure_ascii=False) + "\n"

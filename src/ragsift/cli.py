@@ -15,13 +15,13 @@ import json
 import logging
 import sys
 from contextlib import ExitStack, closing, contextmanager
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
-from typing import Callable, Iterator, TextIO
+from typing import Callable, Iterator, Sequence, TextIO
 
 from . import __version__
-from .annotate import annotate, write_training_files
+from .annotate import TRAINING_FILES, annotate_query, training_line
 from .corpus import (
     CandidateList,
     LoadError,
@@ -62,33 +62,6 @@ logger = logging.getLogger(__name__)
 _BATCH_INPUT_FLAGS = ["corpus", "queries", "run", "qrels", "templates", "transcript"]
 
 
-@dataclass
-class RunManifest:
-    """Reproducibility sidecar written next to every output artifact."""
-
-    command: str
-    parameters: dict
-    inputs: dict[str, dict[str, str]]
-    seed: int | None = None
-    version: str = __version__
-    created_utc: str = field(
-        default_factory=lambda: datetime.now(timezone.utc).isoformat(timespec="seconds")
-    )
-
-    def write(self, out_dir: Path) -> Path:
-        path = out_dir / "manifest.json"
-        doc = {
-            "command": self.command,
-            "version": self.version,
-            "created_utc": self.created_utc,
-            "seed": self.seed,
-            "parameters": self.parameters,
-            "inputs": self.inputs,
-        }
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        return path
-
-
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with path.open("rb") as fh:
@@ -97,25 +70,26 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _manifest(args: argparse.Namespace, input_flags: list[str]) -> RunManifest:
-    params = {}
+def _write_manifest(args: argparse.Namespace, input_flags: list[str], out: Path) -> None:
+    """Write ``manifest.json`` to ``out``: the parsed options and the digest of each input file."""
     inputs = {}
-    for key, value in sorted(vars(args).items()):
-        if key in ("func", "command"):
-            continue
-        params[key] = str(value) if isinstance(value, Path) else value
     for flag in input_flags:
         value = getattr(args, flag, None)
         if value is None:
             continue
-        p = Path(value)
-        if p.exists() and p.is_file():
-            inputs[flag] = {"path": str(p), "sha256": _sha256(p)}
-    return RunManifest(
-        command=args.command,
-        parameters=params,
-        inputs=inputs,
-        seed=getattr(args, "seed", None),
+        path = Path(value)
+        if path.is_file():
+            inputs[flag] = {"path": str(path), "sha256": _sha256(path)}
+    doc = {
+        "command": args.command,
+        "version": __version__,
+        "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "seed": getattr(args, "seed", None),
+        "parameters": {k: v for k, v in vars(args).items() if k not in ("func", "command")},
+        "inputs": inputs,
+    }
+    (out / "manifest.json").write_text(
+        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
 
@@ -180,7 +154,7 @@ def _load_batch_inputs(args: argparse.Namespace):
 
 
 @contextmanager
-def _staged(out: Path, names: list[str]) -> Iterator[list[TextIO]]:
+def _staged(out: Path, names: Sequence[str]) -> Iterator[list[TextIO]]:
     """Open ``<name>.partial`` files in ``out``, renamed to ``name`` if the block succeeds.
 
     On any exception the partial files are removed, so a failed run leaves
@@ -199,49 +173,67 @@ def _staged(out: Path, names: list[str]) -> Iterator[list[TextIO]]:
 
 
 def _stream_batch(
-    args: argparse.Namespace, engine: Callable, output: str, line: Callable[[str, object], str]
-) -> tuple[Path, int, list[QueryFailure]]:
-    """Judge every query with ``engine``, writing ``line(query_id, result)`` to ``output``.
+    args: argparse.Namespace,
+    engine: Callable,
+    cfg: WindowConfig,
+    outputs: Sequence[str],
+    line: Callable[[str, object], tuple[int, str]],
+) -> tuple[Path, list[int], list[QueryFailure]]:
+    """Judge every query with ``engine``, writing each result's lines to one of ``outputs``.
 
-    Each query's output line and trace are written as its outcome arrives;
-    the partial traces of aborted queries follow, in query_id order. Returns
-    the output directory, the count of completed queries and the failures.
+    ``line(query_id, result)`` returns ``(i, text)``: ``text`` goes to
+    ``outputs[i]``. Each query's lines and trace are written as its outcome
+    arrives, and the outcome is dropped; the partial traces of aborted
+    queries follow, in query_id order. Returns the output directory, the
+    number of results written to each output, and the failures.
     """
     queries, run, corpus, judge, templates, budget = _load_batch_inputs(args)
-    done, failures = 0, []
+    trace = getattr(args, "trace", False)  # annotate writes no trace
+    counts, failures = [0] * len(outputs), []
     with closing(judge):
         outcomes = run_batch(
-            engine, queries, run, corpus, judge, _window_cfg(args), templates, budget, args.parallel
+            engine, queries, run, corpus, judge, cfg, templates, budget, args.parallel
         )
         out = _out_dir(args)
-        names = [output, "trace.jsonl"] if args.trace else [output]
+        names = [*outputs, "trace.jsonl"] if trace else outputs
         with closing(outcomes), _staged(out, names) as files:
             for qid, outcome in outcomes:
                 if isinstance(outcome, QueryFailure):
                     failures.append(outcome)
                     continue
-                files[0].write(line(qid, outcome))
-                if args.trace:
-                    files[1].write(trace_lines(outcome.trace))
-                done += 1
-            if args.trace:
+                i, text = line(qid, outcome)
+                files[i].write(text)
+                counts[i] += 1
+                if trace:
+                    files[-1].write(trace_lines(outcome.trace))
+            if trace:
                 for failure in failures:
                     if failure.partial_trace is not None:
-                        files[1].write(trace_lines(failure.partial_trace))
-    _manifest(args, _BATCH_INPUT_FLAGS).write(out)
-    return out, done, failures
+                        files[-1].write(trace_lines(failure.partial_trace))
+    _write_manifest(args, _BATCH_INPUT_FLAGS, out)
+    return out, counts, failures
 
 
 def cmd_rerank(args: argparse.Namespace) -> int:
-    out, done, failures = _stream_batch(
-        args, rerank, "run.trec", lambda qid, res: trec_lines(qid, res.ranked_ids, args.tag)
+    out, (done,), failures = _stream_batch(
+        args,
+        rerank,
+        _window_cfg(args),
+        ["run.trec"],
+        lambda qid, res: (0, trec_lines(qid, res.ranked_ids, args.tag)),
     )
     print(f"reranked {done} queries -> {out / 'run.trec'}")
     return _report_failures(failures)
 
 
 def cmd_select(args: argparse.Namespace) -> int:
-    out, done, failures = _stream_batch(args, select, "selected.jsonl", selection_line)
+    out, (done,), failures = _stream_batch(
+        args,
+        select,
+        _window_cfg(args),
+        ["selected.jsonl"],
+        lambda qid, res: (0, selection_line(qid, res)),
+    )
     print(f"selected for {done} queries -> {out / 'selected.jsonl'}")
     return _report_failures(failures)
 
@@ -293,9 +285,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     out = _out_dir(args)
     json_path, tsv_path = write_report(report, out)
-    _manifest(
-        args, ["predictions", "answers", "selection", "run", "qrels", "evidence"]
-    ).write(out)
+    _write_manifest(args, ["predictions", "answers", "selection", "run", "qrels", "evidence"], out)
     for name, value in report.aggregates().items():
         print(f"{name}\t{100 * value:.2f}")
     print(f"report -> {json_path}, {tsv_path}")
@@ -303,18 +293,21 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
-    queries, run, corpus, judge, templates, budget = _load_batch_inputs(args)
     # annotation judges one window, so the stride never applies
     cfg = WindowConfig(depth=args.depth, window_size=args.w, stride=1)
-    with closing(judge):
-        records = annotate(
-            queries, run, corpus, judge, args.kind, cfg, templates, budget, parallel=args.parallel
+    if cfg.depth > cfg.window_size:
+        raise ValueError(
+            f"annotation is single-window: depth ({cfg.depth}) must be <= "
+            f"window_size ({cfg.window_size})"
         )
-    out = _out_dir(args)
-    passed, rejected = write_training_files(
-        records, out / "train.jsonl", out / "rejected.jsonl"
+    # a teacher transport failure is a rejected record, never an aborted query
+    out, (passed, rejected), _ = _stream_batch(
+        args,
+        partial(annotate_query, kind=args.kind),
+        cfg,
+        TRAINING_FILES,
+        lambda qid, record: training_line(record),
     )
-    _manifest(args, _BATCH_INPUT_FLAGS).write(out)
     print(f"annotated {passed + rejected} queries: {passed} kept, {rejected} rejected -> {out}")
     return 0
 
@@ -329,7 +322,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     (out / "cost_report.json").write_text(
         json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    _manifest(args, ["profile"] if Path(args.profile).exists() else []).write(out)
+    _write_manifest(args, ["profile"], out)
     print(sim.table())
     print(f"ranking windows (fixed)  {doc['ranking_windows']}")
     return 0
@@ -370,16 +363,16 @@ def _add_judge_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_io_flags(p: argparse.ArgumentParser, need_qrels: bool = False) -> None:
+def _add_io_flags(p: argparse.ArgumentParser, trace: bool = True) -> None:
     p.add_argument("--corpus", required=True, help="passage corpus (JSONL or TSV)")
     p.add_argument("--queries", required=True, help="query file (JSONL or TSV)")
     p.add_argument("--run", required=True, help="first-stage TREC run file")
-    p.add_argument("--qrels", required=need_qrels, help="TREC qrels file")
+    p.add_argument("--qrels", help="TREC qrels file")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--parallel", type=int, default=1, help="concurrent queries (default 1)")
     p.add_argument("--seed", type=int, default=0, help="seed recorded in the manifest")
-    p.add_argument("--trace", action="store_true", help="write a per-window audit trace")
-    p.add_argument("--tag", default="ragsift", help="run tag for TREC output")
+    if trace:
+        p.add_argument("--trace", action="store_true", help="write a per-window audit trace")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -392,6 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rerank", help="back-to-front listwise re-ranking")
     _add_io_flags(p)
+    p.add_argument("--tag", default="ragsift", help="run tag for TREC output")
     _add_window_flags(p)
     _add_judge_flags(p)
     p.set_defaults(func=cmd_rerank)
@@ -418,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("annotate", help="export teacher annotations for distillation")
-    _add_io_flags(p)
+    _add_io_flags(p, trace=False)
     p.add_argument("--kind", choices=["ranking", "selection"], required=True)
     p.add_argument("--w", type=int, default=20, help="window size (default 20)")
     p.add_argument("--depth", type=int, default=20, help="candidates per query (default 20)")

@@ -115,20 +115,23 @@ def jsonl_records(path: Path) -> Iterator[tuple[int, dict]]:
     """Yield ``(line number, object)`` for each non-blank line of a JSONL file.
 
     Raises:
-        LoadError: on a line that is not JSON or not a JSON object, naming
-            the file and the line.
+        LoadError: on a line that is not UTF-8, not JSON or not a JSON
+            object, naming the file and the line.
     """
     with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise LoadError(f"{path}: invalid JSON at line {lineno}: {exc}") from exc
-            if not isinstance(record, dict):
-                raise LoadError(f"{path}: line {lineno} is not a JSON object")
-            yield lineno, record
+        try:
+            for lineno, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise LoadError(f"{path}: invalid JSON at line {lineno}: {exc}") from exc
+                if not isinstance(record, dict):
+                    raise LoadError(f"{path}: line {lineno} is not a JSON object")
+                yield lineno, record
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
 
 
 def delimited_rows(
@@ -140,17 +143,35 @@ def delimited_rows(
     the default ``None`` splits TREC files on runs of whitespace.
 
     Raises:
-        LoadError: on a row with fewer than ``min_columns`` columns, naming
-            the file and the line.
+        LoadError: on a line that is not UTF-8 or a row with fewer than
+            ``min_columns`` columns, naming the file and the line.
     """
     with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = (line.rstrip("\n") if sep else line).split(sep)
-            if len(parts) < min_columns:
-                if not line.strip():
-                    continue
-                raise LoadError(f"{path}: expected {min_columns} columns at line {lineno}")
-            yield lineno, parts
+        try:
+            for lineno, line in enumerate(fh, 1):
+                parts = (line.rstrip("\n") if sep else line).split(sep)
+                if len(parts) < min_columns:
+                    if not line.strip():
+                        continue
+                    raise LoadError(f"{path}: expected {min_columns} columns at line {lineno}")
+                yield lineno, parts
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
+
+
+def not_utf8(path: Path) -> LoadError:
+    """The error for a file that is not UTF-8, naming the first line that does not decode.
+
+    Text files are read in decoded chunks, so a decode error does not say
+    which line it hit; only a failed read pays for this second, binary pass.
+    """
+    with path.open("rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return LoadError(f"{path}: not UTF-8 at line {lineno}: {exc}")
+    return LoadError(f"{path}: not UTF-8")
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import Passage, Query
+from .corpus import Passage, Query, not_utf8
 
 
 class TemplateError(ValueError):
@@ -204,13 +204,22 @@ def load_templates(path: str | Path | None = None) -> tuple[PromptTemplate, Prom
     ``[instruction:ranking]`` and ``[instruction:selection]``; omitted
     sections fall back to the built-in defaults. With no path, the defaults
     are returned directly.
+
+    Raises:
+        LoadError: on a file that is not UTF-8, naming the file and the line.
+        TemplateError: on a malformed section or placeholder.
     """
     if path is None:
         return default_templates()
 
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
     sections: dict[str, list[str]] = {}
     current: str | None = None
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         m = _SECTION_RE.match(line)
         if m:
             current = m.group(1)

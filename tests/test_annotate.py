@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from functools import partial
 
 import pytest
 
@@ -8,11 +9,13 @@ from ragsift.annotate import (
     IMPROPER_FORMAT,
     MISSING_IDENTIFIERS,
     REPETITIVE,
+    TRAINING_FILES,
     TRANSPORT,
-    annotate,
+    annotate_query,
+    training_line,
     validate_generation,
-    write_training_files,
 )
+from ragsift.cli import main
 from ragsift.corpus import Corpus, Passage, Query
 from ragsift.judge import (
     RANKING,
@@ -22,8 +25,13 @@ from ragsift.judge import (
     JudgeVerdict,
     verdict_from_text,
 )
+from ragsift.pipeline import run_batch
 from ragsift.windowing import WindowConfig
 from tests.conftest import RawTextJudge, make_candidates
+from tests.test_cli import _mini_flags
+
+# a leaked file handle fails the test
+pytestmark = pytest.mark.filterwarnings("error")
 
 
 class TestValidateGeneration:
@@ -89,6 +97,13 @@ def _mini_inputs(n_queries=3, depth=4):
 class FailingJudge(Judge):
     def judge(self, prompt, kind, n):
         raise JudgeTransportError("down", query_id=prompt.query_id)
+
+
+def annotate(queries, run, corpus, judge, kind, cfg, parallel=1):
+    """Every query's training record, in query_id order, from the shared batch runner."""
+    engine = partial(annotate_query, kind=kind)
+    batch = run_batch(engine, queries, run, corpus, judge, cfg, parallel=parallel)
+    return [record for _, record in batch]
 
 
 class TestAnnotate:
@@ -160,19 +175,15 @@ class TestAnnotate:
         with pytest.raises(ValueError, match="not a permutation"):
             annotate(queries, run, corpus, DuplicatingJudge(), RANKING, WindowConfig(4, 4, 2))
 
-    def test_depth_must_fit_single_window(self):
-        corpus, queries, run = _mini_inputs()
-        with pytest.raises(ValueError, match="single-window"):
-            annotate(
-                queries,
-                run,
-                corpus,
-                RawTextJudge(texts=["x"]),
-                RANKING,
-                WindowConfig(depth=30, window_size=20, stride=10),
-            )
+    def test_depth_must_fit_single_window(self, mini_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        flags = ["--kind", "ranking", "--depth", "30", "--w", "20", "--out", str(out)]
+        assert main(["annotate", *_mini_flags(mini_dir), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: annotation is single-window: depth (30) must be <= window_size (20)\n"
+        assert not out.exists()
 
-    def test_writer_splits_streams(self, tmp_path):
+    def test_writer_splits_streams(self):
         corpus, queries, run = _mini_inputs()
         judge = RawTextJudge(
             by_query={
@@ -182,15 +193,15 @@ class TestAnnotate:
             }
         )
         records = annotate(queries, run, corpus, judge, RANKING, WindowConfig(4, 4, 2))
-        train, rejected = tmp_path / "train.jsonl", tmp_path / "rejected.jsonl"
-        passed, failed = write_training_files(records, train, rejected)
-        assert (passed, failed) == (2, 1)
+        lines = [training_line(record) for record in records]
+        assert [TRAINING_FILES[i] for i, _ in lines] == ["train.jsonl", "rejected.jsonl", "train.jsonl"]
+        assert all(text.endswith("\n") and text.count("\n") == 1 for _, text in lines)
 
-        train_lines = [json.loads(line) for line in train.read_text().splitlines()]
+        train_lines = [json.loads(text) for i, text in lines if i == 0]
         assert all(
             [m["role"] for m in rec["messages"]] == ["system", "user", "assistant"]
             for rec in train_lines
         )
-        rejected_lines = [json.loads(line) for line in rejected.read_text().splitlines()]
+        rejected_lines = [json.loads(text) for i, text in lines if i == 1]
         assert rejected_lines[0]["query_id"] == "q1"
         assert rejected_lines[0]["defects"] == [IMPROPER_FORMAT]

@@ -17,6 +17,9 @@ from ragsift.corpus import load_corpus, load_run
 from ragsift.judge import OracleJudge, prompt_sha256
 from ragsift.windowing import read_selection_file
 
+# a staged output left open leaks a file handle, which fails the test
+pytestmark = pytest.mark.filterwarnings("error")
+
 
 def _mini_flags(mini_dir, extra=()):
     return [
@@ -573,6 +576,20 @@ class TestMalformedInputs:
         assert bad.read_text(encoding="utf-8") == line + "\n"
 
 
+    @pytest.mark.parametrize("name", ["corpus.jsonl", "run.trec"])
+    def test_undecodable_byte_exits_1_naming_file_and_line(self, mini_dir, tmp_path, capsys, name):
+        data = _mini_copy(mini_dir, tmp_path / "data")
+        lines = (data / name).read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2][:-2] + b"\xe9" + lines[2][-2:]
+        (data / name).write_bytes(b"".join(lines))
+        out = tmp_path / "out"
+        assert main(["select", *_mini_flags(data), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {data / name}: not UTF-8 at line 3: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class BrokenOracle(OracleJudge):
     """The oracle, except that it raises a non-transport error on the third query."""
 
@@ -582,18 +599,29 @@ class BrokenOracle(OracleJudge):
         return super().judge(prompt, kind, n)
 
 
+# per batch command: flags, and the outputs it writes besides manifest.json
+STREAMED = {
+    "rerank": (["--depth", "10", "--w", "4", "--s", "2", "--trace"], ["run.trec", "trace.jsonl"]),
+    "select": (
+        ["--depth", "10", "--w", "4", "--s", "2", "--trace"],
+        ["selected.jsonl", "trace.jsonl"],
+    ),
+    "annotate": (["--kind", "ranking", "--depth", "4", "--w", "4"], ["train.jsonl", "rejected.jsonl"]),
+}
+
+
 class TestStreamedOutputs:
     @pytest.mark.parametrize("parallel", ["1", "4"])
-    @pytest.mark.parametrize("command, output", [("rerank", "run.trec"), ("select", "selected.jsonl")])
+    @pytest.mark.parametrize("command", sorted(STREAMED))
     def test_failed_run_writes_nothing_and_keeps_earlier_outputs(
-        self, mini_dir, tmp_path, monkeypatch, capsys, command, output, parallel
+        self, mini_dir, tmp_path, monkeypatch, capsys, command, parallel
     ):
         out = tmp_path / "out"
-        flags = [command, *_mini_flags(mini_dir), "--depth", "10", "--w", "4", "--s", "2"]
-        flags += ["--trace", "--parallel", parallel, "--out", str(out)]
+        flags, outputs = STREAMED[command]
+        flags = [command, *_mini_flags(mini_dir), *flags, "--parallel", parallel, "--out", str(out)]
         assert main(flags) == 0
         before = {p.name: p.read_bytes() for p in out.iterdir()}
-        assert sorted(before) == sorted([output, "trace.jsonl", "manifest.json"])
+        assert sorted(before) == sorted([*outputs, "manifest.json"])
 
         monkeypatch.setattr(
             cli, "_build_judge", lambda args, qrels=None: BrokenOracle(qrels, args.threshold)
@@ -610,8 +638,12 @@ class TestStreamedOutputs:
         assert _rerank(mini_dir, out, ["--trace"]) == 1
         assert list(out.iterdir()) == []
 
-    def test_outputs_keep_partial_names_until_the_batch_ends(self, mini_dir, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("command", sorted(STREAMED))
+    def test_outputs_keep_partial_names_until_the_batch_ends(
+        self, mini_dir, tmp_path, monkeypatch, command
+    ):
         out = tmp_path / "out"
+        flags, outputs = STREAMED[command]
         seen = []
 
         class Watcher(OracleJudge):
@@ -620,9 +652,9 @@ class TestStreamedOutputs:
                 return super().judge(prompt, kind, n)
 
         monkeypatch.setattr(cli, "_build_judge", lambda args, qrels=None: Watcher(qrels))
-        assert _rerank(mini_dir, out, ["--trace"]) == 0
-        assert seen and all(names == ["run.trec.partial", "trace.jsonl.partial"] for names in seen)
-        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "run.trec", "trace.jsonl"]
+        assert main([command, *_mini_flags(mini_dir), *flags, "--out", str(out)]) == 0
+        assert seen and all(names == sorted(f"{name}.partial" for name in outputs) for names in seen)
+        assert sorted(p.name for p in out.iterdir()) == sorted([*outputs, "manifest.json"])
 
 
 def _counting_oracle(monkeypatch) -> list[str]:
@@ -734,9 +766,8 @@ _IO_OPTIONS = [
     (("--out",), None, None, True),
     (("--parallel",), 1, None, False),
     (("--seed",), 0, None, False),
-    (("--trace",), False, None, False),
-    (("--tag",), "ragsift", None, False),
 ]
+_TRACE = (("--trace",), False, None, False)
 _WINDOW_OPTIONS = [
     (("--w",), 20, None, False),
     (("--s",), 10, None, False),
@@ -753,8 +784,15 @@ _JUDGE_OPTIONS = [
 ]
 CLI_SURFACE = {
     "ragsift": [_HELP, (("--version",), argparse.SUPPRESS, None, False)],
-    "rerank": [_HELP, *_IO_OPTIONS, *_WINDOW_OPTIONS, *_JUDGE_OPTIONS],
-    "select": [_HELP, *_IO_OPTIONS, *_WINDOW_OPTIONS, *_JUDGE_OPTIONS],
+    "rerank": [
+        _HELP,
+        *_IO_OPTIONS,
+        _TRACE,
+        (("--tag",), "ragsift", None, False),
+        *_WINDOW_OPTIONS,
+        *_JUDGE_OPTIONS,
+    ],
+    "select": [_HELP, *_IO_OPTIONS, _TRACE, *_WINDOW_OPTIONS, *_JUDGE_OPTIONS],
     "evaluate": [
         _HELP,
         (("--predictions",), None, None, False),

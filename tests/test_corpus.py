@@ -296,6 +296,12 @@ MALFORMED_LINES = [
     ("selection", "duplicate", '{"query_id": "q1", "selected": []}'),
     ("transcript", "bad JSON", "not json"),
     ("transcript", "missing field", '{"prompt_sha256": "cd"}'),
+    # a byte that is not UTF-8 (Latin-1 e-acute)
+    ("corpus-jsonl", "not UTF-8", b'{"doc_id": "d2", "text": "caf\xe9"}'),
+    ("queries-tsv", "not UTF-8", b"q2\tcaf\xe9"),
+    ("run", "not UTF-8", b"q1 Q0 d\xe9 2 1.0 x"),
+    ("qrels", "not UTF-8", b"q1 0 d\xe9 1"),
+    ("transcript", "not UTF-8", b'{"prompt_sha256": "cd", "response_text": "\xe9"}'),
 ]
 
 
@@ -306,7 +312,9 @@ MALFORMED_LINES = [
 )
 def test_malformed_line_names_file_and_line(tmp_path, reader, defect, line):
     read, name, first = READERS[reader]
-    path = _write(tmp_path, name, f"{first}\n\n{line}\n")
+    path = tmp_path / name
+    data = line if isinstance(line, bytes) else line.encode()
+    path.write_bytes(f"{first}\n\n".encode() + data + b"\n")
     with pytest.raises(LoadError) as exc:
         read(path)
     assert str(path) in str(exc.value)

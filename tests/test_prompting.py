@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ragsift.corpus import Passage, Query
+from ragsift.corpus import LoadError, Passage, Query
 from ragsift.prompting import (
     PromptBudget,
     PromptTemplate,
@@ -188,6 +188,13 @@ class TestTemplates:
         path.write_text("[instruction:ranking]\nno placeholders here\n", encoding="utf-8")
         with pytest.raises(TemplateError, match=r"\{query\}"):
             load_templates(path)
+
+    def test_file_not_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"[system]\nsys text\ncaf\xe9\n")
+        with pytest.raises(LoadError, match=r"not UTF-8 at line 3") as exc:
+            load_templates(path)
+        assert str(path) in str(exc.value)
 
     def test_braces_in_passage_text_are_safe(self):
         ranking, _ = default_templates()
