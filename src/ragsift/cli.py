@@ -1,9 +1,9 @@
 """Command-line frontend wiring the modules into runnable pipelines.
 
 Every command writes a manifest next to its outputs recording resolved
-parameters, input digests, the seed, and the tool version; re-running with
-the same inputs (and transcript, when judging) reproduces the output
-artifacts byte for byte. Exit codes: 0 success, 1 unusable inputs or
+parameters, input digests, the tool version and, for ``simulate``, the seed;
+re-running with the same inputs (and transcript, when judging) reproduces the
+output artifacts byte for byte. Exit codes: 0 success, 1 unusable inputs or
 configuration, 2 partial success (some queries aborted).
 """
 
@@ -105,13 +105,7 @@ def _build_judge(args: argparse.Namespace, qrels=None) -> Judge:
     elif args.judge == "endpoint":
         if not args.endpoint_url or not args.model:
             raise LoadError("--judge endpoint requires --endpoint-url and --model")
-        judge = RemoteJudge(
-            JudgeEndpointConfig(
-                base_url=args.endpoint_url,
-                model_name=args.model,
-                max_in_flight=max(1, args.parallel),
-            )
-        )
+        judge = RemoteJudge(JudgeEndpointConfig(base_url=args.endpoint_url, model_name=args.model))
     else:
         raise LoadError(f"unknown judge kind {args.judge!r}")
     if args.transcript:
@@ -144,7 +138,7 @@ def _load_batch_inputs(args: argparse.Namespace):
     The run is read first, so the corpus holds only the passages it references.
     """
     run = load_run(args.run, max_depth=args.depth)
-    corpus = load_corpus(args.corpus, keep={e.doc_id for cl in run.values() for e in cl.entries})
+    corpus = load_corpus(args.corpus, keep={d for cl in run.values() for d in cl.ids})
     queries = load_queries(args.queries)
     qrels = load_qrels(args.qrels) if args.qrels else None
     judge = _build_judge(args, qrels)
@@ -208,8 +202,7 @@ def _stream_batch(
                     files[-1].write(trace_lines(outcome.trace))
             if trace:
                 for failure in failures:
-                    if failure.partial_trace is not None:
-                        files[-1].write(trace_lines(failure.partial_trace))
+                    files[-1].write(trace_lines(failure.partial_trace))
     _write_manifest(args, _BATCH_INPUT_FLAGS, out)
     return out, counts, failures
 
@@ -328,12 +321,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_window_flags(p: argparse.ArgumentParser, depth_default: int = 100) -> None:
+def _add_window_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--w", type=int, default=20, help="window size (default 20)")
     p.add_argument("--s", type=int, default=10, help="stride (default 10)")
-    p.add_argument(
-        "--depth", type=int, default=depth_default, help=f"candidate depth (default {depth_default})"
-    )
+    p.add_argument("--depth", type=int, default=100, help="candidate depth (default 100)")
 
 
 def _add_judge_flags(p: argparse.ArgumentParser) -> None:
@@ -370,7 +361,6 @@ def _add_io_flags(p: argparse.ArgumentParser, trace: bool = True) -> None:
     p.add_argument("--qrels", help="TREC qrels file")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--parallel", type=int, default=1, help="concurrent queries (default 1)")
-    p.add_argument("--seed", type=int, default=0, help="seed recorded in the manifest")
     if trace:
         p.add_argument("--trace", action="store_true", help="write a per-window audit trace")
 
@@ -408,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=100, help="run load depth (default 100)")
     p.add_argument("--threshold", type=int, default=1, help="qrels grade treated as positive")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("annotate", help="export teacher annotations for distillation")

@@ -37,25 +37,18 @@ class Query:
     text: str
 
 
-@dataclass(frozen=True, slots=True)
-class CandidateEntry:
-    doc_id: str
-    score: float
-    rank: int
-
-
 @dataclass(frozen=True)
 class CandidateList:
-    """Ordered retrieval candidates for one query, ranks 1..N contiguous."""
+    """Retrieval candidates for one query: doc ids in rank order."""
 
     query_id: str
-    entries: tuple[CandidateEntry, ...]
+    ids: tuple[str, ...]
 
     def doc_ids(self) -> list[str]:
-        return [e.doc_id for e in self.entries]
+        return list(self.ids)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.ids)
 
 
 class Corpus:
@@ -247,7 +240,7 @@ def load_run(path: str | Path, max_depth: int = 100) -> dict[str, CandidateList]
     path = Path(path)
     if max_depth < 1:
         raise LoadError(f"max_depth must be positive, got {max_depth}")
-    raw: dict[str, dict[str, CandidateEntry]] = {}
+    raw: dict[str, dict[str, tuple[int, float]]] = {}
     for lineno, parts in delimited_rows(path, 6):
         qid, doc_id = parts[0], parts[2]
         try:
@@ -260,27 +253,23 @@ def load_run(path: str | Path, max_depth: int = 100) -> dict[str, CandidateList]
             entries = raw[qid] = {}
         elif doc_id in entries:
             raise LoadError(f"{path}: duplicate (qid, docid) ({qid}, {doc_id}) at line {lineno}")
-        entries[doc_id] = CandidateEntry(doc_id=doc_id, score=score, rank=rank)
+        entries[doc_id] = (rank, score)
 
     run: dict[str, CandidateList] = {}
     for qid, by_doc in raw.items():
-        entries = list(by_doc.values())
-        ordered = sorted(entries, key=lambda e: e.rank)
-        if ordered != entries:
+        ordered = sorted(by_doc, key=lambda d: by_doc[d][0])
+        if ordered != list(by_doc):
             logger.warning("run %s: line order disagrees with ranks for query %s", path, qid)
-        ranks = [e.rank for e in ordered]
+        ranks = [by_doc[d][0] for d in ordered]
         if ranks != list(range(1, len(ranks) + 1)):
             raise LoadError(f"{path}: non-contiguous rank sequence for query {qid}: {ranks[:8]}...")
         for prev, cur in zip(ordered, ordered[1:]):
-            if cur.score > prev.score:
+            if by_doc[cur][1] > by_doc[prev][1]:
                 logger.warning(
-                    "run %s: score increases with rank for query %s (doc %s)",
-                    path,
-                    qid,
-                    cur.doc_id,
+                    "run %s: score increases with rank for query %s (doc %s)", path, qid, cur
                 )
                 break
-        run[qid] = CandidateList(query_id=qid, entries=tuple(ordered[:max_depth]))
+        run[qid] = CandidateList(query_id=qid, ids=tuple(ordered[:max_depth]))
     return run
 
 
@@ -368,13 +357,13 @@ def evidence_from_qrels(qrels: Qrels, threshold: int = 1) -> dict[str, set[str]]
 
 def resolve_candidates(corpus: Corpus, candidates: CandidateList) -> list[Passage]:
     """Resolve a candidate list against the corpus, in rank order."""
-    missing = [e.doc_id for e in candidates.entries if e.doc_id not in corpus]
+    missing = [d for d in candidates.ids if d not in corpus]
     if missing:
         raise LoadError(
             f"query {candidates.query_id}: {len(missing)} candidate doc_ids not in corpus: "
             + ", ".join(missing[:20])
         )
-    return [corpus[e.doc_id] for e in candidates.entries]
+    return [corpus[d] for d in candidates.ids]
 
 
 def check_run_resolves(corpus: Corpus, run: Mapping[str, CandidateList]) -> None:
@@ -383,11 +372,7 @@ def check_run_resolves(corpus: Corpus, run: Mapping[str, CandidateList]) -> None
     Collects every unresolved id across all queries so one pass reports the
     full damage.
     """
-    unresolved: list[str] = []
-    for cl in run.values():
-        for e in cl.entries:
-            if e.doc_id not in corpus:
-                unresolved.append(f"{cl.query_id}:{e.doc_id}")
+    unresolved = [f"{cl.query_id}:{d}" for cl in run.values() for d in cl.ids if d not in corpus]
     if unresolved:
         raise LoadError(
             f"{len(unresolved)} candidate doc_ids do not resolve in the corpus: "

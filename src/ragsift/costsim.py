@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import LoadError
-from .windowing import WindowConfig, WindowTrace, plan_ranking_windows, window_count_bounds
+from .windowing import WindowConfig, plan_ranking_windows, window_count_bounds
 
 _SUM_TOLERANCE = 1e-9
 
@@ -243,29 +243,3 @@ def simulate(
 def ranking_cost(cfg: WindowConfig) -> int:
     """Window count of the back-to-front re-ranking sweep (geometry only)."""
     return len(plan_ranking_windows(cfg))
-
-
-def replay_trace(cfg: WindowConfig, trace: WindowTrace) -> int:
-    """Re-derive a selection trace's window count from the advance arithmetic.
-
-    Walks the recorded windows, checking carried/fresh sizes against what the
-    arithmetic dictates given each window's queue growth. Raises ValueError
-    if the trace is inconsistent with the geometry.
-    """
-    remaining = sum(len(rec.fresh) for rec in trace.windows)
-    queue_len = 0
-    windows = 0
-    for rec in trace.windows:
-        carry = min(cfg.stride, queue_len)
-        fresh = min(cfg.window_size - carry, remaining)
-        if len(rec.carried) != carry or len(rec.fresh) != fresh:
-            raise ValueError(
-                f"trace window {rec.window_index} has carried/fresh "
-                f"{len(rec.carried)}/{len(rec.fresh)}, arithmetic says {carry}/{fresh}"
-            )
-        queue_len = len(rec.queue_after or ())
-        remaining -= fresh
-        windows += 1
-    if remaining:
-        raise ValueError(f"trace ends with {remaining} candidates unprocessed")
-    return windows

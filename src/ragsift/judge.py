@@ -309,13 +309,9 @@ class JudgeEndpointConfig:
     api_key: str = field(default="", repr=False)
     max_retries: int = 3
     timeout: float = 60.0
-    max_in_flight: int = 4
-    temperature: float = 0.0
     retry_base_delay: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
         if not self.api_key:
             self.api_key = api_key_from_env()
 
@@ -329,14 +325,13 @@ class RemoteJudge(Judge):
     and ``close()`` closes every connection the judge opened. Proxy
     environment variables are not honoured and redirects are not followed.
 
-    Bounds concurrent in-flight requests and retries transport failures
-    (``OSError``, timeouts included, and ``http.client.HTTPException``) and
-    5xx replies with exponential backoff plus jitter. A reused connection
-    that the server closed while it sat idle is reopened once at once,
-    without spending an attempt. Any other non-2xx reply (429 included) and a
-    malformed 2xx reply, one whose message content is neither a string nor
-    null included, are fatal. A response that parsed, even after repair, is
-    never retried.
+    Retries transport failures (``OSError``, timeouts included, and
+    ``http.client.HTTPException``) and 5xx replies with exponential backoff
+    plus jitter. A reused connection that the server closed while it sat
+    idle is reopened once at once, without spending an attempt. Any other
+    non-2xx reply (429 included) and a malformed 2xx reply, one whose message
+    content is neither a string nor null included, are fatal. A response that
+    parsed, even after repair, is never retried.
     """
 
     def __init__(self, config: JudgeEndpointConfig):
@@ -352,7 +347,6 @@ class RemoteJudge(Judge):
         self.config = config
         self._path = url.path
         self._new_connection = partial(connection, url.hostname, url.port, timeout=config.timeout)
-        self._gate = threading.BoundedSemaphore(config.max_in_flight)
         self._local = threading.local()
         self._connections: list[HTTPConnection] = []
         self._lock = threading.Lock()
@@ -405,7 +399,7 @@ class RemoteJudge(Judge):
         payload = {
             "model": self.config.model_name,
             "messages": messages,
-            "temperature": self.config.temperature,
+            "temperature": 0.0,
         }
         body = json.dumps(payload).encode("utf-8")
         headers = {"Content-Type": "application/json"}
@@ -418,8 +412,7 @@ class RemoteJudge(Judge):
                 delay = min(30.0, self.config.retry_base_delay * 2**attempt)
                 time.sleep(delay * (0.5 + random.random()))
             try:
-                with self._gate:
-                    status, data = self._post(body, headers)
+                status, data = self._post(body, headers)
             except (OSError, HTTPException) as exc:
                 last_error = exc
                 logger.warning(

@@ -17,18 +17,12 @@ from typing import Mapping, Sequence
 
 from .corpus import CandidateList, Qrels, load_query_field
 
-_ARTICLES = {"a", "an", "the"}
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
 
 def answer_tokens(text: str) -> list[str]:
     """Lowercase, strip punctuation, collapse whitespace, split."""
     return text.lower().translate(_PUNCT_TABLE).split()
-
-
-def normalize_answer(text: str) -> list[str]:
-    """Full answer normalization: ``answer_tokens`` plus article removal."""
-    return [t for t in answer_tokens(text) if t not in _ARTICLES]
 
 
 def _token_bag_f1(pred: list[str], gold: list[str]) -> float:

@@ -20,7 +20,6 @@ from __future__ import annotations
 import logging
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import Callable, Generator, Mapping, Sequence, TypeVar
 
 from .corpus import (
@@ -33,7 +32,7 @@ from .corpus import (
 )
 from .judge import Judge
 from .prompting import PromptBudget, PromptTemplate
-from .windowing import EngineAbort, WindowConfig, WindowTrace
+from .windowing import QueryFailure, WindowConfig
 
 logger = logging.getLogger(__name__)
 
@@ -45,13 +44,6 @@ _LOGGED_IDS = 5
 # queries submitted per worker ahead of the oldest unfinished one; bounds
 # the finished outcomes that wait for a slow query before them
 _AHEAD_PER_WORKER = 32
-
-
-@dataclass
-class QueryFailure:
-    query_id: str
-    error: str
-    partial_trace: WindowTrace | None = None
 
 
 def run_batch(
@@ -82,7 +74,7 @@ def run_batch(
     skipped: list[str] = []
     for query in sorted(queries, key=lambda q: q.query_id):
         candidates = run.get(query.query_id)
-        if candidates is None or not candidates.entries:
+        if not candidates:
             skipped.append(query.query_id)
         else:
             jobs.append((query, resolve_candidates(corpus, candidates)))
@@ -99,9 +91,11 @@ def run_batch(
         query, passages = job
         try:
             return query.query_id, engine(query, passages, judge, cfg, templates, budget)
-        except EngineAbort as exc:
-            logger.warning("query %s aborted: %s", query.query_id, exc.cause)
-            return query.query_id, QueryFailure(query.query_id, str(exc.cause), exc.trace)
+        except QueryFailure as failure:
+            logger.warning("query %s aborted: %s", query.query_id, failure.error)
+            # the outcome outlives the query: keep its trace, not the frames it unwound
+            failure.__traceback__ = failure.__cause__ = failure.__context__ = None
+            return query.query_id, failure
 
     if parallel <= 1:
         return (one(job) for job in jobs)

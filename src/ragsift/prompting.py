@@ -56,19 +56,23 @@ _REQUIRED_PLACEHOLDERS = {
 }
 
 
-def _check_placeholders(text: str, section: str) -> None:
+def _check_placeholders(text: str, section: str, where: str = "") -> None:
+    # ``section`` may name a task's instruction, as in ``instruction:ranking``
+    kind = section.partition(":")[0]
     try:
         fields = {f for _, f, _, _ in string.Formatter().parse(text) if f is not None}
     except ValueError as exc:
-        raise TemplateError(f"[{section}] section is not a valid template: {exc}") from exc
-    unknown = fields - _ALLOWED_PLACEHOLDERS[section]
+        raise TemplateError(f"[{section}] section{where} is not a valid template: {exc}") from exc
+    unknown = fields - _ALLOWED_PLACEHOLDERS[kind]
     if unknown:
         raise TemplateError(
-            f"[{section}] section uses unknown placeholder {{{sorted(unknown)[0]}}}"
+            f"[{section}] section{where} uses unknown placeholder {{{sorted(unknown)[0]}}}"
         )
-    missing = _REQUIRED_PLACEHOLDERS[section] - fields
+    missing = _REQUIRED_PLACEHOLDERS[kind] - fields
     if missing:
-        raise TemplateError(f"[{section}] section is missing placeholder {{{sorted(missing)[0]}}}")
+        raise TemplateError(
+            f"[{section}] section{where} is missing placeholder {{{sorted(missing)[0]}}}"
+        )
 
 
 @dataclass(frozen=True)
@@ -88,18 +92,19 @@ class PromptTemplate:
         _check_placeholders(self.instruction_text, "instruction")
 
 
+# a token is approximated as this many characters
+CHARS_PER_TOKEN = 4
+
+
 @dataclass(frozen=True)
 class PromptBudget:
-    """Per-passage length budget; a token is approximated as ``chars_per_token`` characters."""
+    """Per-passage length budget, in tokens of ``CHARS_PER_TOKEN`` characters."""
 
     per_passage_tokens: int = 300
-    chars_per_token: float = 4.0
 
     def __post_init__(self) -> None:
         if self.per_passage_tokens < 1:
             raise ValueError("per_passage_tokens must be >= 1")
-        if self.chars_per_token <= 0:
-            raise ValueError("chars_per_token must be positive")
 
 
 @dataclass(frozen=True)
@@ -130,16 +135,14 @@ class RenderedPrompt:
 _THROUGH_LAST_WHITESPACE = re.compile(r".*\s", re.DOTALL)
 
 
-def truncate_text(text: str, budget: PromptBudget) -> str:
-    """Truncate ``text`` to the per-passage budget at a whitespace boundary.
+def truncate_text(text: str, limit: int) -> str:
+    """Truncate ``text`` to ``limit`` characters at a whitespace boundary.
 
-    The cut point is the last whitespace at or before ``per_passage_tokens *
-    chars_per_token`` characters. A first token over budget, alone or
-    preceded only by whitespace, falls back to a hard cut at that character
-    limit. Python slicing operates on code points, so no unicode scalar is
-    ever split.
+    The cut point is the last whitespace at or before ``limit``. A first
+    token over the limit, alone or preceded only by whitespace, falls back
+    to a hard cut at ``limit``. Python slicing operates on code points, so
+    no unicode scalar is ever split.
     """
-    limit = int(budget.per_passage_tokens * budget.chars_per_token)
     if len(text) <= limit:
         return text
     m = _THROUGH_LAST_WHITESPACE.match(text, 0, limit)
@@ -160,10 +163,10 @@ def render(
     """
     if not window:
         raise ValueError("cannot render an empty window")
-    budget = budget or PromptBudget()
+    limit = (budget or PromptBudget()).per_passage_tokens * CHARS_PER_TOKEN
     lines = []
     for i, passage in enumerate(window, 1):
-        text = truncate_text(passage.text, budget)
+        text = truncate_text(passage.text, limit)
         lines.append(
             template.per_passage_text.format(index=i, title=passage.title or "", text=text)
         )
@@ -207,7 +210,8 @@ def load_templates(path: str | Path | None = None) -> tuple[PromptTemplate, Prom
 
     Raises:
         LoadError: on a file that is not UTF-8, naming the file and the line.
-        TemplateError: on a malformed section or placeholder.
+        TemplateError: on a malformed section or placeholder, naming the file
+            and the line.
     """
     if path is None:
         return default_templates()
@@ -217,7 +221,15 @@ def load_templates(path: str | Path | None = None) -> tuple[PromptTemplate, Prom
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError:
         raise not_utf8(path) from None
+    try:
+        return _parse_templates(text)
+    except TemplateError as exc:
+        raise TemplateError(f"{path}: {exc}") from None
+
+
+def _parse_templates(text: str) -> tuple[PromptTemplate, PromptTemplate]:
     sections: dict[str, list[str]] = {}
+    starts: dict[str, int] = {}
     current: str | None = None
     for lineno, line in enumerate(text.splitlines(), 1):
         m = _SECTION_RE.match(line)
@@ -225,7 +237,7 @@ def load_templates(path: str | Path | None = None) -> tuple[PromptTemplate, Prom
             current = m.group(1)
             if current in sections:
                 raise TemplateError(f"duplicate section [{current}] at line {lineno}")
-            sections[current] = []
+            sections[current], starts[current] = [], lineno
             continue
         if line.startswith("[") and line.rstrip().endswith("]") and current is None:
             raise TemplateError(f"unknown section {line.strip()} at line {lineno}")
@@ -239,6 +251,9 @@ def load_templates(path: str | Path | None = None) -> tuple[PromptTemplate, Prom
         if name not in sections:
             return default
         return "\n".join(sections[name]).strip("\n")
+
+    for name, start in starts.items():
+        _check_placeholders(_text(name, ""), name, f" at line {start}")
 
     system = _text("system", DEFAULT_SYSTEM)
     passage = _text("passage", DEFAULT_PASSAGE)

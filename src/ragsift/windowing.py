@@ -114,14 +114,16 @@ class WindowTrace:
         return out
 
 
-class EngineAbort(RuntimeError):
-    """A query was aborted mid-run; carries the partial trace for auditing."""
+class QueryFailure(RuntimeError):
+    """A query the judge transport aborted; carries the trace of the windows judged before."""
 
-    def __init__(self, query_id: str, trace: WindowTrace, cause: JudgeTransportError):
-        super().__init__(f"query {query_id} aborted at window {trace.window_count}: {cause}")
+    def __init__(self, query_id: str, error: str, partial_trace: WindowTrace):
+        super().__init__(
+            f"query {query_id} aborted at window {partial_trace.window_count}: {error}"
+        )
         self.query_id = query_id
-        self.trace = trace
-        self.cause = cause
+        self.error = error
+        self.partial_trace = partial_trace
 
 
 class PreselectedQueue:
@@ -242,7 +244,7 @@ def rerank(
         try:
             verdict = judge_window(judge, prompt, RANKING, n)
         except JudgeTransportError as exc:
-            raise EngineAbort(query.query_id, trace, exc) from exc
+            raise QueryFailure(query.query_id, str(exc), trace) from exc
         permuted = [window[i - 1] for i in verdict.permutation or ()]
         order[start:end] = permuted
 
@@ -302,7 +304,7 @@ def select(
         try:
             verdict = judge_window(judge, prompt, SELECTION, n)
         except JudgeTransportError as exc:
-            raise EngineAbort(query.query_id, trace, exc) from exc
+            raise QueryFailure(query.query_id, str(exc), trace) from exc
 
         queue.prepend([window[i - 1].doc_id for i in verdict.selected or ()])
         pseudo_answers.append(verdict.pseudo_answer)

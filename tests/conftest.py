@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from ragsift.corpus import CandidateEntry, CandidateList, Passage, Qrels, Query
+from ragsift.corpus import CandidateList, Passage, Qrels, Query
 from ragsift.data import mini_dataset_dir
 from ragsift.judge import (
     SELECTION,
@@ -43,9 +43,8 @@ def make_qrels(query_id: str, grades: dict[str, int]) -> Qrels:
 
 
 def make_candidates(query_id: str, doc_ids: list[str]) -> CandidateList:
-    """A candidate list in the given order, scoring 1/rank."""
-    entries = tuple(CandidateEntry(d, 1.0 / rank, rank) for rank, d in enumerate(doc_ids, 1))
-    return CandidateList(query_id, entries)
+    """A candidate list in the given order."""
+    return CandidateList(query_id, tuple(doc_ids))
 
 
 QUERY = Query(query_id="q1", text="what is it")

@@ -765,7 +765,6 @@ _IO_OPTIONS = [
     (("--qrels",), None, None, False),
     (("--out",), None, None, True),
     (("--parallel",), 1, None, False),
-    (("--seed",), 0, None, False),
 ]
 _TRACE = (("--trace",), False, None, False)
 _WINDOW_OPTIONS = [
@@ -806,7 +805,6 @@ CLI_SURFACE = {
         (("--depth",), 100, None, False),
         (("--threshold",), 1, None, False),
         (("--out",), None, None, True),
-        (("--seed",), 0, None, False),
     ],
     "annotate": [
         _HELP,
@@ -843,6 +841,57 @@ def test_cli_surface_is_pinned():
     surface = {"ragsift": options(parser)}
     surface.update((name, options(sub)) for name, sub in commands.choices.items())
     assert surface == CLI_SURFACE
+
+
+PUBLIC_SURFACE = [
+    "CandidateList",
+    "Corpus",
+    "Judge",
+    "JudgeEndpointConfig",
+    "JudgeTransportError",
+    "JudgeVerdict",
+    "LoadError",
+    "MetricsReport",
+    "OracleJudge",
+    "Passage",
+    "PreselectedQueue",
+    "PromptBudget",
+    "PromptTemplate",
+    "Qrels",
+    "Query",
+    "RemoteJudge",
+    "RenderedPrompt",
+    "TranscriptJudge",
+    "WindowConfig",
+    "WindowTrace",
+    "answer_em_f1",
+    "cut",
+    "evaluate_answers",
+    "evidence_from_qrels",
+    "evidence_scores",
+    "judge_window",
+    "load_answers",
+    "load_corpus",
+    "load_evidence",
+    "load_qrels",
+    "load_queries",
+    "load_run",
+    "load_templates",
+    "ndcg_at_k",
+    "parse_ranking",
+    "parse_selection",
+    "plan_ranking_windows",
+    "render",
+    "rerank",
+    "select",
+    "window_count_bounds",
+]
+
+
+def test_public_surface_is_pinned():
+    """The package's exported names, so that adding or dropping one is a visible edit."""
+    assert sorted(ragsift.__all__) == PUBLIC_SURFACE
+    assert all(hasattr(ragsift, name) for name in ragsift.__all__)
 
 
 class TestEntryPoints:

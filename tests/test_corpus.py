@@ -5,7 +5,6 @@ import logging
 import pytest
 
 from ragsift.corpus import (
-    CandidateEntry,
     CandidateList,
     Corpus,
     LoadError,
@@ -126,13 +125,13 @@ class TestLoadRun:
     def test_line_maps_fields(self, tmp_path):
         path = _write(tmp_path, "r.trec", "q1 Q0 d7 1 12.5 bm25\n")
         run = load_run(path)
-        assert run["q1"].entries == (CandidateEntry(doc_id="d7", score=12.5, rank=1),)
+        assert run["q1"] == CandidateList(query_id="q1", ids=("d7",))
 
     def test_truncates_to_max_depth(self, tmp_path):
         lines = "".join(f"q1 Q0 d{i} {i} {1000 - i} x\n" for i in range(1, 151))
         run = load_run(_write(tmp_path, "r.trec", lines), max_depth=100)
         assert len(run["q1"]) == 100
-        assert run["q1"].entries[-1].doc_id == "d100"
+        assert run["q1"].ids[-1] == "d100"
 
     def test_non_contiguous_rank_rejected(self, tmp_path):
         path = _write(tmp_path, "r.trec", "q1 Q0 d1 1 2.0 x\nq1 Q0 d2 3 1.0 x\n")
@@ -224,13 +223,7 @@ class TestGoldFiles:
 class TestResolution:
     def test_resolve_in_rank_order(self):
         corpus = Corpus([Passage("d1", "a"), Passage("d2", "b")])
-        cl = CandidateList(
-            query_id="q1",
-            entries=(
-                CandidateEntry("d2", 2.0, 1),
-                CandidateEntry("d1", 1.0, 2),
-            ),
-        )
+        cl = CandidateList(query_id="q1", ids=("d2", "d1"))
         assert [p.doc_id for p in resolve_candidates(corpus, cl)] == ["d2", "d1"]
 
     def test_fail_fast_lists_all_unresolved(self):

@@ -10,12 +10,9 @@ from ragsift.costsim import (
     load_profile,
     parse_profile_spec,
     ranking_cost,
-    replay_trace,
     simulate,
 )
-from ragsift.judge import OracleJudge
-from ragsift.windowing import WindowConfig, select, window_count_bounds
-from tests.conftest import QUERY, AlwaysSelectJudge, make_passages, make_qrels
+from ragsift.windowing import WindowConfig, window_count_bounds
 
 
 CFG = WindowConfig(100, 20, 10)
@@ -110,25 +107,3 @@ class TestRankingCost:
     def test_fixtures(self, cfg, expected):
         assert ranking_cost(cfg) == expected
 
-
-class TestReplayTrace:
-    def test_real_trace_window_count_reproduced(self):
-        for grades in ([0] * 12, [1] * 12, [1, 0, 0, 1, 0, 1, 1, 0, 0, 1, 0, 0]):
-            passages = make_passages(len(grades))
-            qrels = make_qrels(QUERY.query_id, {p.doc_id: g for p, g in zip(passages, grades)})
-            cfg = WindowConfig(len(grades), 4, 2)
-            result = select(QUERY, passages, OracleJudge(qrels), cfg)
-            assert replay_trace(cfg, result.trace) == result.trace.window_count
-
-    def test_always_judge_trace(self):
-        passages = make_passages(20)
-        cfg = WindowConfig(20, 5, 2)
-        result = select(QUERY, passages, AlwaysSelectJudge(), cfg)
-        assert replay_trace(cfg, result.trace) == result.trace.window_count
-
-    def test_inconsistent_trace_rejected(self):
-        passages = make_passages(8)
-        cfg = WindowConfig(8, 4, 2)
-        result = select(QUERY, passages, AlwaysSelectJudge(), cfg)
-        with pytest.raises(ValueError):
-            replay_trace(WindowConfig(8, 5, 2), result.trace)

@@ -462,7 +462,7 @@ class TestKeepAliveTransport:
         self, keepalive_server, remote_judge
     ):
         url, handler = keepalive_server
-        judge = remote_judge(base_url=url, model_name="m1", api_key="k", max_in_flight=3)
+        judge = remote_judge(base_url=url, model_name="m1", api_key="k")
         n_threads, calls = 8, 5
         start = threading.Barrier(n_threads)
         errors = []

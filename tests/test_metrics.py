@@ -17,21 +17,11 @@ from ragsift.metrics import (
     evidence_scores,
     ndcg_at_k,
     ndcg_query,
-    normalize_answer,
 )
 from tests.conftest import make_candidates
 
 
 class TestNormalizeAnswer:
-    def test_case_punct_article(self):
-        assert normalize_answer("The Cat!") == ["cat"]
-
-    def test_empty(self):
-        assert normalize_answer("") == []
-
-    def test_articles_only(self):
-        assert normalize_answer("a  an the") == []
-
     def test_answer_tokens_keep_articles(self):
         assert answer_tokens("The Cat!") == ["the", "cat"]
 

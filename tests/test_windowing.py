@@ -182,6 +182,14 @@ class TestSelect:
             result = select(QUERY, passages, judge, cfg)
             lo, hi = window_count_bounds(cfg)
             assert lo <= result.trace.window_count <= hi
+            # every window follows the advance arithmetic the bounds are derived from
+            queue_len, remaining = 0, m
+            for rec in result.trace.windows:
+                assert len(rec.carried) == min(s, queue_len)
+                assert len(rec.fresh) == min(w - len(rec.carried), remaining)
+                queue_len = len(rec.queue_after)
+                remaining -= len(rec.fresh)
+            assert remaining == 0
 
     def test_pseudo_answers_one_per_window(self):
         passages = make_passages(8)
