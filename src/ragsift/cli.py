@@ -84,7 +84,6 @@ def _write_manifest(args: argparse.Namespace, input_flags: list[str], out: Path)
         "command": args.command,
         "version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "seed": getattr(args, "seed", None),
         "parameters": {k: v for k, v in vars(args).items() if k not in ("func", "command")},
         "inputs": inputs,
     }

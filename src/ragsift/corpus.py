@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Callable, Container, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -273,12 +274,17 @@ def load_run(path: str | Path, max_depth: int = 100) -> dict[str, CandidateList]
     return run
 
 
+@lru_cache(maxsize=16)
+def _rank_score_columns(n: int) -> tuple[str, ...]:
+    """The rank and score columns of ranks 1..n, each with its separating spaces."""
+    return tuple(f" {rank} {1.0 / rank:g} " for rank in range(1, n + 1))
+
+
 def trec_lines(query_id: str, doc_ids: Sequence[str], tag: str) -> str:
     """One query's ranking as TREC 6-column lines, scoring 1/rank."""
-    return "".join(
-        f"{query_id} Q0 {doc_id} {rank} {1.0 / rank:g} {tag}\n"
-        for rank, doc_id in enumerate(doc_ids, 1)
-    )
+    head, tail = f"{query_id} Q0 ", f"{tag}\n"
+    columns = _rank_score_columns(len(doc_ids))
+    return "".join([head + doc_id + cols + tail for doc_id, cols in zip(doc_ids, columns)])
 
 
 def load_qrels(path: str | Path) -> Qrels:

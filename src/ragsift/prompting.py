@@ -4,6 +4,23 @@ A window of passages is rendered into a system message plus a user message:
 the passages first, each labeled with a bracketed one-based identifier, then
 the task instruction. Rendering is a pure function, so identical inputs
 always produce byte-identical prompts.
+
+Templates are ``str.format`` strings, one per section of a template file.
+Each section may use only its own placeholders:
+
+- ``[system]``: none; the text is sent as it stands.
+- ``[passage]``: ``{index}`` (int, the one-based identifier) and ``{text}``
+  (str, truncated to the budget) are required; ``{title}`` (str, empty for
+  an untitled passage) is optional.
+- ``[instruction:ranking]`` and ``[instruction:selection]``: ``{query}``
+  (str, never truncated) is required; ``{count}`` (int, the window size) is
+  optional.
+
+A placeholder may carry a conversion and a format spec, as in ``{index:>3}``
+or ``{text!r}``, but a format spec may not hold a placeholder, and the spec
+must fit its value's type. Write a literal brace as ``{{`` or ``}}``. Every
+check runs when a template is built or loaded, so a bad template fails
+before any input is read.
 """
 
 from __future__ import annotations
@@ -56,13 +73,22 @@ _REQUIRED_PLACEHOLDERS = {
 }
 
 
+# values of each placeholder's type, for trial-formatting a section at load time
+_SAMPLE_VALUES = {
+    "system": {},
+    "passage": {"index": 1, "title": "title", "text": "text"},
+    "instruction": {"query": "query", "count": 1},
+}
+
+
 def _check_placeholders(text: str, section: str, where: str = "") -> None:
     # ``section`` may name a task's instruction, as in ``instruction:ranking``
     kind = section.partition(":")[0]
     try:
-        fields = {f for _, f, _, _ in string.Formatter().parse(text) if f is not None}
+        parsed = [(f, spec) for _, f, spec, _ in string.Formatter().parse(text) if f is not None]
     except ValueError as exc:
         raise TemplateError(f"[{section}] section{where} is not a valid template: {exc}") from exc
+    fields = {f for f, _ in parsed}
     unknown = fields - _ALLOWED_PLACEHOLDERS[kind]
     if unknown:
         raise TemplateError(
@@ -73,6 +99,15 @@ def _check_placeholders(text: str, section: str, where: str = "") -> None:
         raise TemplateError(
             f"[{section}] section{where} is missing placeholder {{{sorted(missing)[0]}}}"
         )
+    nested = next((f for f, spec in parsed if "{" in spec), None)
+    if nested is not None:
+        raise TemplateError(
+            f"[{section}] section{where} has a placeholder in the format spec of {{{nested}}}"
+        )
+    try:
+        text.format(**_SAMPLE_VALUES[kind])
+    except ValueError as exc:
+        raise TemplateError(f"[{section}] section{where} does not format: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -150,6 +185,35 @@ def truncate_text(text: str, limit: int) -> str:
     return kept or text[:limit]
 
 
+def _numbered(template: str, slots: dict[str, int]) -> str:
+    """``template`` with each named placeholder replaced by its positional slot.
+
+    Conversions and format specs are kept, and literal braces escaped again.
+    """
+    out = []
+    for literal, field, spec, conv in string.Formatter().parse(template):
+        out.append(literal.replace("{", "{{").replace("}", "}}"))
+        if field is not None:
+            conv = f"!{conv}" if conv else ""
+            spec = f":{spec}" if spec else ""
+            out.append(f"{{{slots[field]}{conv}{spec}}}")
+    return "".join(out)
+
+
+@lru_cache(maxsize=64)
+def _window_format(per_passage: str, instruction: str, n: int) -> str:
+    """One format string for a whole user message of ``n`` passages.
+
+    Passage k takes positional arguments 3k, 3k+1 and 3k+2 as its index,
+    title and text; the instruction takes 3n and 3n+1 as query and count.
+    """
+    passages = "\n".join(
+        _numbered(per_passage, {"index": 3 * k, "title": 3 * k + 1, "text": 3 * k + 2})
+        for k in range(n)
+    )
+    return passages + "\n\n" + _numbered(instruction, {"query": 3 * n, "count": 3 * n + 1})
+
+
 def render(
     template: PromptTemplate,
     query: Query,
@@ -164,17 +228,17 @@ def render(
     if not window:
         raise ValueError("cannot render an empty window")
     limit = (budget or PromptBudget()).per_passage_tokens * CHARS_PER_TOKEN
-    lines = []
+    args: list[int | str] = []
     for i, passage in enumerate(window, 1):
-        text = truncate_text(passage.text, limit)
-        lines.append(
-            template.per_passage_text.format(index=i, title=passage.title or "", text=text)
-        )
-    instruction = template.instruction_text.format(query=query.text, count=len(window))
-    user = "\n".join(lines) + "\n\n" + instruction
+        text = passage.text
+        if len(text) > limit:
+            text = truncate_text(text, limit)
+        args += (i, passage.title or "", text)
+    args += (query.text, len(window))
+    fmt = _window_format(template.per_passage_text, template.instruction_text, len(window))
     return RenderedPrompt(
         system=template.system_text,
-        user=user,
+        user=fmt.format(*args),
         query_id=query.query_id,
         doc_ids=tuple(p.doc_id for p in window),
     )
@@ -198,6 +262,8 @@ def default_templates() -> tuple[PromptTemplate, PromptTemplate]:
 
 
 _SECTION_RE = re.compile(r"^\[(system|passage|instruction:ranking|instruction:selection)\]\s*$")
+# any line shaped like a section header; one that is not a known section is an error
+_HEADER_SHAPE_RE = re.compile(r"^\[[a-z]+(:[a-z]+)?\]\s*$")
 
 
 def load_templates(path: str | Path | None = None) -> tuple[PromptTemplate, PromptTemplate]:
@@ -239,7 +305,7 @@ def _parse_templates(text: str) -> tuple[PromptTemplate, PromptTemplate]:
                 raise TemplateError(f"duplicate section [{current}] at line {lineno}")
             sections[current], starts[current] = [], lineno
             continue
-        if line.startswith("[") and line.rstrip().endswith("]") and current is None:
+        if _HEADER_SHAPE_RE.match(line):
             raise TemplateError(f"unknown section {line.strip()} at line {lineno}")
         if current is None:
             if line.strip():

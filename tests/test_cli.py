@@ -87,6 +87,7 @@ class TestRerankCommand:
         assert len(run) == 20
         assert (out / "trace.jsonl").exists()
         manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest) == ["command", "created_utc", "inputs", "parameters", "version"]
         assert manifest["command"] == "rerank"
         assert manifest["parameters"]["w"] == 4
         assert "sha256" in manifest["inputs"]["corpus"]
@@ -428,6 +429,9 @@ class TestSimulateCommand:
         report = json.loads((out / "cost_report.json").read_text())
         lo, hi = report["bounds"]
         assert lo <= report["mean_windows"] <= hi
+        # the seed is recorded once, with the other options
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "seed" not in manifest and manifest["parameters"]["seed"] == 3
 
     @pytest.mark.parametrize(
         "text",

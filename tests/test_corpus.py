@@ -180,6 +180,16 @@ class TestLoadRun:
         ]
         assert load_run(out) == {qid: make_candidates(qid, cl.doc_ids()) for qid, cl in run.items()}
 
+    @pytest.mark.parametrize("n", [0, 1, 7, 100, 150])
+    def test_trec_lines_score_one_over_rank(self, n):
+        doc_ids = [f"d{i}" for i in range(n)]
+        expected = "".join(
+            f"q1 Q0 {doc_id} {rank} {1.0 / rank:g} tag\n" for rank, doc_id in enumerate(doc_ids, 1)
+        )
+        assert trec_lines("q1", doc_ids, "tag") == expected
+        # a shorter ranking after a longer one gets only its own lines
+        assert trec_lines("q1", doc_ids[:3], "tag") == "".join(expected.splitlines(True)[:3])
+
 
 class TestLoadQrels:
     def test_maps_grades(self, tmp_path):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import string
 
 import pytest
@@ -31,6 +32,57 @@ def scan_truncate(text: str, limit: int) -> str:
     cut = max((i for i, c in enumerate(head) if c.isspace()), default=-1)
     kept = head[:cut].rstrip() if cut > 0 else ""
     return kept or head
+
+
+def format_per_passage(
+    template: PromptTemplate, query: Query, window: list[Passage], budget: PromptBudget
+) -> str:
+    """Reference user message: one keyword ``str.format`` per passage, joined."""
+    limit = budget.per_passage_tokens * CHARS_PER_TOKEN
+    lines = [
+        template.per_passage_text.format(
+            index=i, title=p.title or "", text=truncate_text(p.text, limit)
+        )
+        for i, p in enumerate(window, 1)
+    ]
+    instruction = template.instruction_text.format(query=query.text, count=len(window))
+    return "\n".join(lines) + "\n\n" + instruction
+
+
+def _field(name: str, forms: list[str]) -> st.SearchStrategy[str]:
+    return st.sampled_from(forms).map(lambda form: "{" + name + form + "}")
+
+
+# literal template text: escaped braces, brackets and non-ASCII characters
+_LITERAL = st.lists(
+    st.sampled_from(["{{", "}}", "[", "]", " ", "\n", "a", "Z", ":", "!", "é", "中", "🙂"]),
+    max_size=4,
+).map("".join)
+# conversions and specs that fit each placeholder's type
+_INDEX = _field("index", ["", ":>3", ":03d", ":<2", "!r", "!s:>4", "!a"])
+_COUNT = _field("count", ["", ":03d", ":>2", "!r"])
+_TEXT_LIKE = ["", "!r", "!s", "!a", ":>4", ":<6", "!r:^8"]
+_PASSAGE_FIELDS = st.tuples(
+    _INDEX, _field("text", _TEXT_LIKE), st.none() | _field("title", _TEXT_LIKE)
+).flatmap(lambda f: st.permutations([x for x in f if x is not None]))
+_QUERY_TEXT = st.text(alphabet="ab {}é中\n", max_size=12)
+_PASSAGE_TEXT = st.text(alphabet="ab {}[]é中🙂\n\t", max_size=70)
+
+
+@st.composite
+def _templates(draw) -> PromptTemplate:
+    def interleave(fields: list[str]) -> str:
+        return draw(_LITERAL) + "".join(f + draw(_LITERAL) for f in fields)
+
+    passage = interleave(draw(_PASSAGE_FIELDS))
+    counts = draw(st.integers(0, 2))  # {count} may appear more than once
+    instruction_fields = [draw(_field("query", _TEXT_LIKE))] + [draw(_COUNT)] * counts
+    return PromptTemplate(
+        name=draw(st.sampled_from(["ranking", "selection"])),
+        system_text=draw(_LITERAL),
+        per_passage_text=passage,
+        instruction_text=interleave(draw(st.permutations(instruction_fields))),
+    )
 
 
 # ASCII, C1 and Unicode whitespace, plus U+200B, which str.isspace does not count
@@ -92,6 +144,26 @@ class TestRender:
         rendered = render(ranking, QUERY, long_window, budget)
         fixed = render(ranking, QUERY, tiny_window, budget).char_count() - n
         assert rendered.char_count() <= fixed + n * 200
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        _templates(),
+        _QUERY_TEXT,
+        st.lists(
+            st.tuples(_PASSAGE_TEXT, st.none() | st.text(alphabet="t {}é", max_size=6)),
+            min_size=1,
+            max_size=25,
+        ),
+        st.integers(1, 12),
+    )
+    def test_matches_per_passage_format(self, template, query_text, passages, tokens):
+        window = [Passage(f"d{i}", text, title) for i, (text, title) in enumerate(passages)]
+        query = Query("q", query_text)
+        budget = PromptBudget(per_passage_tokens=tokens)
+        prompt = render(template, query, window, budget)
+        assert prompt.user == format_per_passage(template, query, window, budget)
+        assert prompt.system == template.system_text
 
 
 class TestTruncation:
@@ -206,6 +278,19 @@ class TestTemplates:
                 "\n[instruction:selection]\n{query} {\n",
                 "[instruction:selection] section at line 2 is not a valid template",
             ),
+            (
+                "[system]\ns\n[instrucion:ranking]\n{query}\n",
+                "unknown section [instrucion:ranking] at line 3",
+            ),
+            (
+                "[passage]\n[{index}] {text:{foo}}\n",
+                "[passage] section at line 1 has a placeholder in the format spec of {text}",
+            ),
+            (
+                "[system]\ns\n[instruction:ranking]\n{query:d}\n",
+                "[instruction:ranking] section at line 3 does not format: "
+                "Unknown format code 'd' for object of type 'str'",
+            ),
         ],
     )
     def test_file_errors_name_file_and_line(self, tmp_path, body, message):
@@ -221,6 +306,31 @@ class TestTemplates:
         with pytest.raises(LoadError, match=r"not UTF-8 at line 3") as exc:
             load_templates(path)
         assert str(path) in str(exc.value)
+
+    def test_section_shaped_text_stays_text(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text(
+            "[instruction:ranking]\n{query}\n[1] > [2]\n[ok]x\n[Bogus]\n", encoding="utf-8"
+        )
+        ranking, _ = load_templates(path)
+        assert ranking.instruction_text == "{query}\n[1] > [2]\n[ok]x\n[Bogus]"
+
+    @pytest.mark.parametrize(
+        "passage,message",
+        [
+            ("[{index}] {text:{foo}}", "has a placeholder in the format spec of {text}"),
+            ("[{index:s}] {text}", "does not format: Unknown format code 's'"),
+            ("[{index}] {text!x}", "does not format: Unknown conversion specifier x"),
+        ],
+    )
+    def test_bad_format_spec_fails_at_construction(self, passage, message):
+        with pytest.raises(TemplateError, match=re.escape(f"[passage] section {message}")):
+            PromptTemplate(
+                name="ranking",
+                system_text="s",
+                per_passage_text=passage,
+                instruction_text="{query}",
+            )
 
     def test_braces_in_passage_text_are_safe(self):
         ranking, _ = default_templates()
