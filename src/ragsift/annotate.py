@@ -117,10 +117,9 @@ def annotate_query(
     """
     ranking_template, selection_template = templates or default_templates()
     template = ranking_template if kind == RANKING else selection_template
-    window = passages[: cfg.depth]
-    prompt = render(template, query, window, budget)
+    prompt = render(template, query, passages[: cfg.depth], budget)
     try:
-        verdict = judge_window(judge, prompt, kind, len(window))
+        verdict = judge_window(judge, prompt)
     except JudgeTransportError as exc:
         logger.warning("teacher unreachable for query %s: %s", query.query_id, exc)
         raw_text, target_text, defects = "", "", [TRANSPORT]

@@ -6,8 +6,11 @@ order (strip free text, keep first occurrence of each identifier, drop
 out-of-range identifiers, append missing ones in ascending order) and the
 tag list is reported in a fixed canonical order so fixtures are stable.
 
-Two live judges share one interface: a remote OpenAI-compatible chat
-endpoint and a qrels-backed oracle. A transcript judge answers from a file
+Every judge implements one method, ``judge(prompt) -> JudgeVerdict``: the
+rendered prompt is the whole description of its window, and a judge reads
+the task from ``prompt.kind`` and the window size from ``prompt.n``. Two
+live judges share that interface: a remote OpenAI-compatible chat endpoint
+and a qrels-backed oracle. A transcript judge answers from a file
 of recorded replies and hands any prompt the file lacks to a live judge,
 recording its reply; without one it only replays. Rerunning a command with
 the same transcript therefore pays only for the windows not yet judged.
@@ -54,10 +57,6 @@ _TAG_ORDER = (DEDUP, OUT_OF_RANGE_DROPPED, MISSING_APPENDED, FREE_TEXT_STRIPPED,
 
 class JudgeTransportError(RuntimeError):
     """The judge could not be reached (or a transcript with no live judge had no entry)."""
-
-    def __init__(self, message: str, query_id: str | None = None):
-        super().__init__(message)
-        self.query_id = query_id
 
 
 @dataclass(frozen=True)
@@ -231,21 +230,24 @@ def verdict_from_text(text: str, kind: str, n: int) -> JudgeVerdict:
 class Judge:
     """Interface shared by all judges. Implementations must be thread-safe."""
 
-    def judge(self, prompt: RenderedPrompt, kind: str, n: int) -> JudgeVerdict:
+    def judge(self, prompt: RenderedPrompt) -> JudgeVerdict:
+        """Answer the window ``prompt`` describes with a verdict of ``prompt.kind``."""
         raise NotImplementedError
 
     def close(self) -> None:
         """Release what the judge holds open; a no-op unless it owns a connection."""
 
 
-def judge_window(judge: Judge, prompt: RenderedPrompt, kind: str, n: int) -> JudgeVerdict:
-    """Run one window through a judge and validate the verdict invariants."""
-    if n < 1:
-        raise ValueError("window size must be >= 1")
-    if prompt.n != n:
-        raise ValueError(f"prompt renders {prompt.n} passages but window size is {n}")
-    verdict = judge.judge(prompt, kind, n)
-    verdict.validate(n)
+def judge_window(judge: Judge, prompt: RenderedPrompt) -> JudgeVerdict:
+    """Run one window through a judge and check that the verdict answers it.
+
+    Raises ``ValueError`` for a verdict of another kind than ``prompt.kind``,
+    or one that is not valid for the window's ``prompt.n`` passages.
+    """
+    verdict = judge.judge(prompt)
+    if verdict.kind != prompt.kind:
+        raise ValueError(f"judge answered a {prompt.kind} window with a {verdict.kind} verdict")
+    verdict.validate(prompt.n)
     return verdict
 
 
@@ -265,24 +267,22 @@ class OracleJudge(Judge):
     def _grades(self, prompt: RenderedPrompt) -> list[int]:
         return [self.qrels.grade(prompt.query_id, d) for d in prompt.doc_ids]
 
-    def judge(self, prompt: RenderedPrompt, kind: str, n: int) -> JudgeVerdict:
+    def judge(self, prompt: RenderedPrompt) -> JudgeVerdict:
         grades = self._grades(prompt)
-        order = sorted(range(n), key=lambda i: (-grades[i], i))
-        if kind == RANKING:
+        order = sorted(range(prompt.n), key=lambda i: (-grades[i], i))
+        if prompt.kind == RANKING:
             permutation = tuple(i + 1 for i in order)
             return JudgeVerdict(
                 kind=RANKING,
                 raw_text=canonical_ranking_text(permutation),
                 permutation=permutation,
             )
-        if kind == SELECTION:
-            selected = tuple(i + 1 for i in order if grades[i] >= self.selection_threshold)
-            return JudgeVerdict(
-                kind=SELECTION,
-                raw_text=canonical_selection_text(selected),
-                selected=selected,
-            )
-        raise ValueError(f"unknown judge kind {kind!r}")
+        selected = tuple(i + 1 for i in order if grades[i] >= self.selection_threshold)
+        return JudgeVerdict(
+            kind=SELECTION,
+            raw_text=canonical_selection_text(selected),
+            selected=selected,
+        )
 
 
 API_KEY_ENV_VARS = ("RAGSIFT_API_KEY", "OPENAI_API_KEY")
@@ -436,8 +436,7 @@ class RemoteJudge(Judge):
                 continue
             if not 200 <= status < 300:
                 raise JudgeTransportError(
-                    f"endpoint rejected request with HTTP {status}: {snippet}",
-                    query_id=prompt.query_id,
+                    f"endpoint rejected request with HTTP {status}: {snippet}"
                 )
             try:
                 content = json.loads(data)["choices"][0]["message"]["content"]
@@ -445,17 +444,13 @@ class RemoteJudge(Judge):
                     raise TypeError(f"message content is {type(content).__name__}, not a string")
                 return content or ""
             except (ValueError, KeyError, IndexError, TypeError) as exc:
-                raise JudgeTransportError(
-                    f"malformed endpoint response: {exc}", query_id=prompt.query_id
-                ) from exc
+                raise JudgeTransportError(f"malformed endpoint response: {exc}") from exc
         raise JudgeTransportError(
-            f"endpoint unreachable after {self.config.max_retries + 1} attempts: {last_error}",
-            query_id=prompt.query_id,
+            f"endpoint unreachable after {self.config.max_retries + 1} attempts: {last_error}"
         )
 
-    def judge(self, prompt: RenderedPrompt, kind: str, n: int) -> JudgeVerdict:
-        text = self._complete(prompt)
-        return verdict_from_text(text, kind, n)
+    def judge(self, prompt: RenderedPrompt) -> JudgeVerdict:
+        return verdict_from_text(self._complete(prompt), prompt.kind, prompt.n)
 
     def close(self) -> None:
         with self._lock:
@@ -500,17 +495,14 @@ class TranscriptJudge(Judge):
     def __len__(self) -> int:
         return len(self._responses)
 
-    def judge(self, prompt: RenderedPrompt, kind: str, n: int) -> JudgeVerdict:
+    def judge(self, prompt: RenderedPrompt) -> JudgeVerdict:
         digest = prompt_sha256(prompt)
         text = self._responses.get(digest)
         if text is not None:
-            return verdict_from_text(text, kind, n)
+            return verdict_from_text(text, prompt.kind, prompt.n)
         if self.inner is None:
-            raise JudgeTransportError(
-                f"transcript has no response for prompt {digest[:12]}...",
-                query_id=prompt.query_id,
-            )
-        verdict = self.inner.judge(prompt, kind, n)
+            raise JudgeTransportError(f"transcript has no response for prompt {digest[:12]}...")
+        verdict = self.inner.judge(prompt)
         record = {"prompt_sha256": digest, "response_text": verdict.raw_text}
         with self._lock, self._path.open("a", encoding="utf-8") as fh:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")

@@ -3,7 +3,8 @@
 One runner serves every per-query engine: ``run_batch(rerank, ...)``,
 ``run_batch(select, ...)``, and annotation's single-window
 ``annotate_query``. It owns the policy they share: queries in query_id
-order, queries without candidates skipped and summarised in one warning.
+order; queries without candidates, and run queries without query text,
+skipped and summarised in one warning each.
 Per-query work stays sequential (each window depends on the previous state);
 queries run concurrently on a thread pool. Failures follow a skip-and-record
 policy: a query whose judge transport dies is recorded with its partial
@@ -38,7 +39,7 @@ logger = logging.getLogger(__name__)
 
 T = TypeVar("T")
 
-# skipped query ids named in the summary warning
+# skipped query ids named in each summary warning
 _LOGGED_IDS = 5
 
 # queries submitted per worker ahead of the oldest unfinished one; bounds
@@ -65,10 +66,12 @@ def run_batch(
     query_id order whatever ``parallel`` is; the outcome is the engine's
     result, or a ``QueryFailure`` for a query the judge transport aborted.
     The run is checked against the corpus, and queries without candidates
-    are skipped with one warning, before this returns; judging starts on the
-    first ``next()``. Close the generator before closing the judge, so that
-    no worker is still judging.
+    and run queries without query text are skipped with one warning each,
+    before this returns; judging starts on the first ``next()``. Close the
+    generator before closing the judge, so that no worker is still judging.
     """
+    if parallel < 1:
+        raise ValueError(f"parallel must be at least 1, got {parallel}")
     check_run_resolves(corpus, run)
     jobs: list[tuple[Query, list[Passage]]] = []
     skipped: list[str] = []
@@ -78,14 +81,9 @@ def run_batch(
             skipped.append(query.query_id)
         else:
             jobs.append((query, resolve_candidates(corpus, candidates)))
-    if skipped:
-        more = ", ..." if len(skipped) > _LOGGED_IDS else ""
-        logger.warning(
-            "skipped %d queries with no candidates: %s%s",
-            len(skipped),
-            ", ".join(skipped[:_LOGGED_IDS]),
-            more,
-        )
+    _warn_skipped("queries with no candidates", skipped)
+    asked = {query.query_id for query in queries}
+    _warn_skipped("run queries with no query text", sorted(run.keys() - asked))
 
     def one(job: tuple[Query, list[Passage]]) -> tuple[str, T | QueryFailure]:
         query, passages = job
@@ -97,9 +95,17 @@ def run_batch(
             failure.__traceback__ = failure.__cause__ = failure.__context__ = None
             return query.query_id, failure
 
-    if parallel <= 1:
+    if parallel == 1:
         return (one(job) for job in jobs)
     return _in_order(one, jobs, parallel)
+
+
+def _warn_skipped(what: str, query_ids: list[str]) -> None:
+    """Log one warning with the count of skipped ``what`` and the first few ids."""
+    if query_ids:
+        more = ", ..." if len(query_ids) > _LOGGED_IDS else ""
+        shown = ", ".join(query_ids[:_LOGGED_IDS])
+        logger.warning("skipped %d %s: %s%s", len(query_ids), what, shown, more)
 
 
 def _in_order(

@@ -144,16 +144,19 @@ class PromptBudget:
 
 @dataclass(frozen=True)
 class RenderedPrompt:
-    """A rendered window prompt plus the metadata judges may need.
+    """A rendered window prompt: the whole description of one window a judge answers.
 
-    ``doc_ids`` maps window-local identifiers back to documents: identifier
-    [i] is doc_ids[i-1]. Oracle judges rely on this; remote judges ignore it.
+    ``kind`` is the task, the template's name. ``doc_ids`` maps window-local
+    identifiers back to documents: identifier [i] is doc_ids[i-1]. Oracle
+    judges rely on it; remote judges read only its length, ``n``. Only
+    ``system`` and ``user`` are sent, and only they are hashed.
     """
 
     system: str
     user: str
     query_id: str
     doc_ids: tuple[str, ...]
+    kind: str
 
     @property
     def n(self) -> int:
@@ -241,6 +244,7 @@ def render(
         user=fmt.format(*args),
         query_id=query.query_id,
         doc_ids=tuple(p.doc_id for p in window),
+        kind=template.name,
     )
 
 

@@ -26,14 +26,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .corpus import Passage, Query, load_query_field
-from .judge import (
-    RANKING,
-    SELECTION,
-    Judge,
-    JudgeTransportError,
-    JudgeVerdict,
-    judge_window,
-)
+from .judge import Judge, JudgeTransportError, JudgeVerdict, judge_window
 from .prompting import PromptBudget, PromptTemplate, RenderedPrompt, default_templates, render
 
 
@@ -117,13 +110,17 @@ class WindowTrace:
 class QueryFailure(RuntimeError):
     """A query the judge transport aborted; carries the trace of the windows judged before."""
 
-    def __init__(self, query_id: str, error: str, partial_trace: WindowTrace):
+    def __init__(self, error: str, partial_trace: WindowTrace):
         super().__init__(
-            f"query {query_id} aborted at window {partial_trace.window_count}: {error}"
+            f"query {partial_trace.query_id} aborted at window "
+            f"{partial_trace.window_count}: {error}"
         )
-        self.query_id = query_id
         self.error = error
         self.partial_trace = partial_trace
+
+    @property
+    def query_id(self) -> str:
+        return self.partial_trace.query_id
 
 
 class PreselectedQueue:
@@ -239,12 +236,11 @@ def rerank(
     prev_start: int | None = None
     for idx, (start, end) in enumerate(plan_ranking_windows(cfg)):
         window = order[start:end]
-        n = len(window)
         prompt = render(ranking_template, query, window, budget)
         try:
-            verdict = judge_window(judge, prompt, RANKING, n)
+            verdict = judge_window(judge, prompt)
         except JudgeTransportError as exc:
-            raise QueryFailure(query.query_id, str(exc), trace) from exc
+            raise QueryFailure(str(exc), trace) from exc
         permuted = [window[i - 1] for i in verdict.permutation or ()]
         order[start:end] = permuted
 
@@ -298,13 +294,12 @@ def select(
         carried_ids = queue.head(min(cfg.stride, len(queue)))
         fresh = list(candidates[pos : pos + cfg.window_size - len(carried_ids)])
         window = [by_id[d] for d in carried_ids] + fresh
-        n = len(window)
 
         prompt = render(selection_template, query, window, budget)
         try:
-            verdict = judge_window(judge, prompt, SELECTION, n)
+            verdict = judge_window(judge, prompt)
         except JudgeTransportError as exc:
-            raise QueryFailure(query.query_id, str(exc), trace) from exc
+            raise QueryFailure(str(exc), trace) from exc
 
         queue.prepend([window[i - 1].doc_id for i in verdict.selected or ()])
         pseudo_answers.append(verdict.pseudo_answer)

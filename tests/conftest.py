@@ -58,13 +58,13 @@ class RawTextJudge(Judge):
         self.texts = list(texts or [])
         self.calls = 0
 
-    def judge(self, prompt, kind, n):
+    def judge(self, prompt):
         if prompt.query_id in self.by_query:
             text = self.by_query[prompt.query_id]
         else:
             text = self.texts[self.calls % len(self.texts)]
         self.calls += 1
-        return verdict_from_text(text, kind, n)
+        return verdict_from_text(text, prompt.kind, prompt.n)
 
 
 class ScriptedSelectionJudge(Judge):
@@ -74,7 +74,7 @@ class ScriptedSelectionJudge(Judge):
         self.script = [list(s) for s in script]
         self.calls = 0
 
-    def judge(self, prompt, kind, n):
+    def judge(self, prompt):
         wanted = self.script[self.calls] if self.calls < len(self.script) else []
         self.calls += 1
         selected = tuple(
@@ -88,14 +88,14 @@ class ScriptedSelectionJudge(Judge):
 
 
 class NeverSelectJudge(Judge):
-    def judge(self, prompt, kind, n):
-        return verdict_from_text("Selected: none", kind, n)
+    def judge(self, prompt):
+        return verdict_from_text("Selected: none", prompt.kind, prompt.n)
 
 
 class AlwaysSelectJudge(Judge):
-    def judge(self, prompt, kind, n):
-        ids = ", ".join(f"[{i}]" for i in range(1, n + 1))
-        return verdict_from_text(f"everything helps\nSelected: {ids}", kind, n)
+    def judge(self, prompt):
+        ids = ", ".join(f"[{i}]" for i in range(1, prompt.n + 1))
+        return verdict_from_text(f"everything helps\nSelected: {ids}", prompt.kind, prompt.n)
 
 
 _FUZZ_POOL = (
@@ -110,9 +110,9 @@ class FuzzJudge(Judge):
     def __init__(self, seed: int = 0):
         self.rng = random.Random(seed)
 
-    def judge(self, prompt, kind, n):
+    def judge(self, prompt):
         pieces = [self.rng.choice(_FUZZ_POOL) for _ in range(self.rng.randint(0, 24))]
-        return verdict_from_text(" ".join(pieces), kind, n)
+        return verdict_from_text(" ".join(pieces), prompt.kind, prompt.n)
 
 
 def random_unicode(rng: random.Random, max_len: int = 60) -> str:

@@ -95,8 +95,8 @@ def _mini_inputs(n_queries=3, depth=4):
 
 
 class FailingJudge(Judge):
-    def judge(self, prompt, kind, n):
-        raise JudgeTransportError("down", query_id=prompt.query_id)
+    def judge(self, prompt):
+        raise JudgeTransportError("down")
 
 
 def annotate(queries, run, corpus, judge, kind, cfg, parallel=1):
@@ -168,7 +168,7 @@ class TestAnnotate:
 
     def test_invalid_verdict_is_rejected_like_the_engines(self):
         class DuplicatingJudge(Judge):
-            def judge(self, prompt, kind, n):
+            def judge(self, prompt):
                 return JudgeVerdict(kind=RANKING, raw_text="[1] > [2]", permutation=(1, 1))
 
         corpus, queries, run = _mini_inputs(n_queries=1)

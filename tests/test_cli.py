@@ -597,10 +597,10 @@ class TestMalformedInputs:
 class BrokenOracle(OracleJudge):
     """The oracle, except that it raises a non-transport error on the third query."""
 
-    def judge(self, prompt, kind, n):
+    def judge(self, prompt):
         if prompt.query_id == "q003":
             raise ValueError("judge broke on q003")
-        return super().judge(prompt, kind, n)
+        return super().judge(prompt)
 
 
 # per batch command: flags, and the outputs it writes besides manifest.json
@@ -651,9 +651,9 @@ class TestStreamedOutputs:
         seen = []
 
         class Watcher(OracleJudge):
-            def judge(self, prompt, kind, n):
+            def judge(self, prompt):
                 seen.append(sorted(p.name for p in out.iterdir()))
-                return super().judge(prompt, kind, n)
+                return super().judge(prompt)
 
         monkeypatch.setattr(cli, "_build_judge", lambda args, qrels=None: Watcher(qrels))
         assert main([command, *_mini_flags(mini_dir), *flags, "--out", str(out)]) == 0
@@ -666,9 +666,9 @@ def _counting_oracle(monkeypatch) -> list[str]:
     seen: list[str] = []
 
     class CountingOracle(OracleJudge):
-        def judge(self, prompt, kind, n):
+        def judge(self, prompt):
             seen.append(prompt_sha256(prompt))
-            return super().judge(prompt, kind, n)
+            return super().judge(prompt)
 
     monkeypatch.setattr(cli, "OracleJudge", CountingOracle)
     return seen
@@ -921,20 +921,20 @@ class TestEntryPoints:
         assert result.returncode == 0
         assert "ragsift" in result.stdout
 
-    def test_bad_input_exit_1(self, tmp_path, capsys):
-        code = main(
-            [
-                "rerank",
-                "--corpus",
-                str(tmp_path / "missing.jsonl"),
-                "--queries",
-                str(tmp_path / "missing.jsonl"),
-                "--run",
-                str(tmp_path / "missing.trec"),
-                "--judge",
-                "oracle",
-                "--out",
-                str(tmp_path / "out"),
-            ]
-        )
-        assert code == 1
+    def test_bad_input_exit_1(self, mini_dir, tmp_path, capsys):
+        missing = [
+            *("--corpus", str(tmp_path / "missing.jsonl")),
+            *("--queries", str(tmp_path / "missing.jsonl")),
+            *("--run", str(tmp_path / "missing.trec")),
+        ]
+        bad_inputs = [
+            (["rerank", *missing], "missing.trec"),
+            (["select", *_mini_flags(mini_dir), "--parallel", "0"], "got 0"),
+            (["select", *_mini_flags(mini_dir), "--parallel", "-1"], "got -1"),
+        ]
+        out = tmp_path / "out"
+        for argv, named in bad_inputs:
+            assert main([*argv, "--judge", "oracle", "--out", str(out)]) == 1, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and named in err and "Traceback" not in err, err
+            assert not out.exists()

@@ -2,13 +2,17 @@
 of replayed runs in which some queries abort.
 
 Outputs and recorded transcripts must stay byte-identical across refactors.
-Transcript bytes pin the rendered prompts, since ``ReplayJudge`` looks
+Transcript bytes pin the rendered prompts, since ``TranscriptJudge`` looks
 responses up by prompt hash: any change to rendering breaks recorded runs.
+The hashes rest on the bundled mini dataset, so its generator script must
+still rebuild it byte for byte.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -151,3 +155,16 @@ def test_aborted_queries_match_golden_bytes(command, parallel, mini_dir, tmp_pat
         for name in OUTPUTS[command]
     }
     assert digests == ABORTED_GOLDEN[command]
+
+
+def test_mini_dataset_rebuilds_byte_for_byte(mini_dir, tmp_path, monkeypatch):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "make_mini_dataset.py"
+    spec = importlib.util.spec_from_file_location("make_mini_dataset", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "OUT", tmp_path)
+    module.main()
+    rebuilt = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    bundled = {p.name: p.read_bytes() for p in mini_dir.iterdir()}
+    assert sorted(rebuilt) == sorted(bundled)
+    assert [name for name in sorted(bundled) if rebuilt[name] != bundled[name]] == []

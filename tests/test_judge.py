@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import ragsift
 from ragsift.cli import main
+from ragsift.corpus import Query
 from ragsift.judge import (
     API_KEY_ENV_VARS,
     RANKING,
@@ -164,35 +165,35 @@ class TestIdempotence:
         assert reparsed.pseudo_answer == expected_pseudo
 
 
-def _prompt(n=3, qid="q1"):
-    ranking, _ = default_templates()
-    from ragsift.corpus import Query
-
-    return render(ranking, Query(qid, "q text"), make_passages(n))
+def _prompt(n=3, kind=RANKING):
+    ranking, selection = default_templates()
+    template = ranking if kind == RANKING else selection
+    return render(template, Query("q1", "q text"), make_passages(n))
 
 
 class TestOracleJudge:
     def test_ranking_sorts_by_grade_desc_ties_by_position(self):
         qrels = make_qrels("q1", {"d1": 0, "d2": 3, "d3": 1})
-        verdict = judge_window(OracleJudge(qrels), _prompt(3), RANKING, 3)
+        verdict = judge_window(OracleJudge(qrels), _prompt(3))
         assert verdict.permutation == (2, 3, 1)
 
     def test_selection_threshold_filter(self):
         qrels = make_qrels("q1", {"d1": 0, "d2": 3, "d3": 1})
-        verdict = judge_window(OracleJudge(qrels), _prompt(3), SELECTION, 3)
+        verdict = judge_window(OracleJudge(qrels), _prompt(3, kind=SELECTION))
         assert verdict.selected == (2, 3)
 
     def test_selection_respects_custom_threshold(self):
         qrels = make_qrels("q1", {"d1": 0, "d2": 3, "d3": 1})
-        verdict = judge_window(OracleJudge(qrels, selection_threshold=2), _prompt(3), SELECTION, 3)
+        judge = OracleJudge(qrels, selection_threshold=2)
+        verdict = judge_window(judge, _prompt(3, kind=SELECTION))
         assert verdict.selected == (2,)
 
     def test_deterministic(self):
         qrels = make_qrels("q1", {"d1": 1, "d2": 2, "d3": 2})
         judge = OracleJudge(qrels)
-        first = judge_window(judge, _prompt(3), RANKING, 3)
+        first = judge_window(judge, _prompt(3))
         for _ in range(5):
-            assert judge_window(judge, _prompt(3), RANKING, 3) == first
+            assert judge_window(judge, _prompt(3)) == first
 
 
 class TestReplayAndRecording:
@@ -201,28 +202,28 @@ class TestReplayAndRecording:
         qrels = make_qrels("q1", {"d1": 2, "d2": 0, "d3": 1})
         recorder = TranscriptJudge(transcript, OracleJudge(qrels))
         prompt = _prompt(3)
-        original = judge_window(recorder, prompt, RANKING, 3)
+        original = judge_window(recorder, prompt)
 
         replay = TranscriptJudge(transcript)
         assert len(replay) == 1
-        assert judge_window(replay, prompt, RANKING, 3) == original
+        assert judge_window(replay, prompt) == original
 
     def test_replay_miss_is_transport_error(self, tmp_path):
         transcript = tmp_path / "empty.jsonl"
         transcript.write_text("", encoding="utf-8")
         with pytest.raises(JudgeTransportError):
-            judge_window(TranscriptJudge(transcript), _prompt(3), RANKING, 3)
+            judge_window(TranscriptJudge(transcript), _prompt(3))
 
     def test_held_prompt_skips_inner_and_new_prompt_is_appended(self, tmp_path):
         transcript = tmp_path / "t.jsonl"
         recorder = TranscriptJudge(transcript, RawTextJudge(texts=["[2] > [1] > [3]"]))
-        judge_window(recorder, _prompt(3), RANKING, 3)
+        judge_window(recorder, _prompt(3))
         recorded = transcript.read_bytes()
         inner = RawTextJudge(texts=["[2] > [1]"])
         resumed = TranscriptJudge(transcript, inner)
-        assert judge_window(resumed, _prompt(3), RANKING, 3).permutation == (2, 1, 3)
+        assert judge_window(resumed, _prompt(3)).permutation == (2, 1, 3)
         assert inner.calls == 0 and transcript.read_bytes() == recorded
-        assert judge_window(resumed, _prompt(2), RANKING, 2).permutation == (2, 1)
+        assert judge_window(resumed, _prompt(2)).permutation == (2, 1)
         assert inner.calls == 1
         assert transcript.read_bytes().startswith(recorded)
         assert len(transcript.read_text(encoding="utf-8").splitlines()) == 2
@@ -232,7 +233,7 @@ class TestReplayAndRecording:
         inner = RawTextJudge(texts=["[1] > [2] > [3]"])
         recorder = TranscriptJudge(transcript, inner)
         for _ in range(2):
-            judge_window(recorder, _prompt(3), RANKING, 3)
+            judge_window(recorder, _prompt(3))
         assert inner.calls == 2
         assert len(transcript.read_text(encoding="utf-8").splitlines()) == 2
 
@@ -242,7 +243,7 @@ class TestReplayAndRecording:
             TranscriptJudge(transcript)
         recorder = TranscriptJudge(transcript, RawTextJudge(texts=["[1] > [2] > [3]"]))
         assert len(recorder) == 0 and not transcript.exists()
-        judge_window(recorder, _prompt(3), RANKING, 3)
+        judge_window(recorder, _prompt(3))
         assert len(TranscriptJudge(transcript)) == 1
 
 
@@ -358,7 +359,7 @@ class TestRemoteJudge:
         url, handler = chat_server
         handler.responses = [(200, "I think [2] > [1] > [3]")]
         judge = remote_judge(base_url=url, model_name="m1", api_key="k")
-        verdict = judge_window(judge, _prompt(3), RANKING, 3)
+        verdict = judge_window(judge, _prompt(3))
         assert verdict.permutation == (2, 1, 3)
         assert verdict.repairs == ()
         sent = handler.requests_seen[0]
@@ -373,7 +374,7 @@ class TestRemoteJudge:
         judge = remote_judge(
             base_url=url, model_name="m1", api_key="k", max_retries=2, retry_base_delay=0.01
         )
-        verdict = judge_window(judge, _prompt(3), RANKING, 3)
+        verdict = judge_window(judge, _prompt(3))
         assert verdict.permutation == (3, 2, 1)
         assert len(handler.requests_seen) == 2
 
@@ -381,7 +382,7 @@ class TestRemoteJudge:
         url, handler = chat_server
         handler.responses = [(200, "garbled 2 then 1 then 3")]
         judge = remote_judge(base_url=url, model_name="m1", api_key="k")
-        verdict = judge_window(judge, _prompt(3), RANKING, 3)
+        verdict = judge_window(judge, _prompt(3))
         assert verdict.permutation == (2, 1, 3)
         assert "free_text_stripped" in verdict.repairs
         assert len(handler.requests_seen) == 1
@@ -392,9 +393,8 @@ class TestRemoteJudge:
         judge = remote_judge(
             base_url=url, model_name="m1", api_key="k", max_retries=2, retry_base_delay=0.01
         )
-        with pytest.raises(JudgeTransportError) as exc:
-            judge_window(judge, _prompt(3, qid="q9"), RANKING, 3)
-        assert exc.value.query_id == "q9"
+        with pytest.raises(JudgeTransportError):
+            judge_window(judge, _prompt(3))
 
     @pytest.mark.parametrize(
         "content", [7, ["[1] > [2] > [3]"], {"text": "[1] > [2] > [3]"}], ids=["int", "list", "dict"]
@@ -407,16 +407,15 @@ class TestRemoteJudge:
         judge = remote_judge(
             base_url=url, model_name="m1", api_key="k", max_retries=2, retry_base_delay=0.01
         )
-        with pytest.raises(JudgeTransportError, match="malformed endpoint response") as exc:
-            judge_window(judge, _prompt(3, qid="q9"), RANKING, 3)
-        assert exc.value.query_id == "q9"
+        with pytest.raises(JudgeTransportError, match="malformed endpoint response"):
+            judge_window(judge, _prompt(3))
         assert len(handler.requests_seen) == 1
 
     def test_null_content_reads_as_empty_text(self, chat_server, remote_judge):
         url, handler = chat_server
         handler.responses = [(200, None)]
         judge = remote_judge(base_url=url, model_name="m1", api_key="k")
-        verdict = judge_window(judge, _prompt(3), RANKING, 3)
+        verdict = judge_window(judge, _prompt(3))
         assert verdict.raw_text == ""
         assert verdict.repairs == ("unparseable",)
 
@@ -425,7 +424,7 @@ class TestRemoteJudge:
             base_url="http://127.0.0.1:1/v1", model_name="m", api_key="k", max_retries=0
         )
         with pytest.raises(JudgeTransportError):
-            judge_window(judge, _prompt(2), RANKING, 2)
+            judge_window(judge, _prompt(2))
 
     def test_recording_close_releases_pooled_connections(
         self, keepalive_server, remote_judge, tmp_path
@@ -434,7 +433,7 @@ class TestRemoteJudge:
         judge = remote_judge(base_url=url, model_name="m1", api_key="k")
         recorder = TranscriptJudge(tmp_path / "t.jsonl", judge)
         workers = [
-            threading.Thread(target=judge_window, args=(recorder, _prompt(3), RANKING, 3))
+            threading.Thread(target=judge_window, args=(recorder, _prompt(3)))
             for _ in range(2)
         ]
         for worker in workers:
@@ -454,7 +453,7 @@ class TestKeepAliveTransport:
         url, handler = keepalive_server
         judge = remote_judge(base_url=url, model_name="m1", api_key="k")
         for _ in range(5):
-            assert judge_window(judge, _prompt(3), RANKING, 3).permutation == (1, 2, 3)
+            assert judge_window(judge, _prompt(3)).permutation == (1, 2, 3)
         assert len(handler.requests_seen) == 5
         assert len(handler.sockets) == 1
 
@@ -471,7 +470,7 @@ class TestKeepAliveTransport:
             try:
                 start.wait(10)
                 for _ in range(calls):
-                    judge_window(judge, _prompt(3), RANKING, 3)
+                    judge_window(judge, _prompt(3))
             except Exception as exc:  # reported by the assertion below
                 errors.append(exc)
 
@@ -494,11 +493,11 @@ class TestKeepAliveTransport:
         url, handler = keepalive_server
         # any backoff sleep would take at least 5 s
         judge = remote_judge(base_url=url, model_name="m1", api_key="k", retry_base_delay=5.0)
-        judge_window(judge, _prompt(3), RANKING, 3)
+        judge_window(judge, _prompt(3))
         handler.close_idle()
         handler.responses = [(200, "[2] > [1] > [3]")]
         started = time.monotonic()
-        verdict = judge_window(judge, _prompt(3), RANKING, 3)
+        verdict = judge_window(judge, _prompt(3))
         assert time.monotonic() - started < 2.0
         assert verdict.permutation == (2, 1, 3)
         assert len(handler.requests_seen) == 2
@@ -515,18 +514,17 @@ class TestKeepAliveTransport:
             retry_base_delay=0.01,
         )
         # a first call leaves the connection open, so the first hang hits a reused one
-        judge_window(judge, _prompt(3), RANKING, 3)
+        judge_window(judge, _prompt(3))
         handler.responses = [None, None, None]
-        with pytest.raises(JudgeTransportError, match="after 3 attempts") as exc:
-            judge_window(judge, _prompt(3, qid="q9"), RANKING, 3)
-        assert exc.value.query_id == "q9"
+        with pytest.raises(JudgeTransportError, match="after 3 attempts"):
+            judge_window(judge, _prompt(3))
         assert len(handler.requests_seen) == 1 + 3
 
     def test_base_url_path_prefix_and_trailing_slash(self, keepalive_server, remote_judge):
         url, handler = keepalive_server
         base = url.removesuffix("/v1") + "/prefix/v1/"
         judge = remote_judge(base_url=base, model_name="m1", api_key="k")
-        judge_window(judge, _prompt(3), RANKING, 3)
+        judge_window(judge, _prompt(3))
         assert handler.requests_meta[0][0] == "/prefix/v1/chat/completions"
 
     @pytest.mark.parametrize("api_key,expected", [("k", "Bearer k"), ("", None)])
@@ -537,7 +535,7 @@ class TestKeepAliveTransport:
             monkeypatch.delenv(name, raising=False)
         url, handler = keepalive_server
         judge = remote_judge(base_url=url, model_name="m1", api_key=api_key)
-        judge_window(judge, _prompt(3), RANKING, 3)
+        judge_window(judge, _prompt(3))
         assert handler.requests_meta[0][1] == expected
 
 

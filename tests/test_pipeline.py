@@ -38,11 +38,11 @@ class FlakyJudge(Judge):
     def __init__(self, bad_query_id: str):
         self.bad_query_id = bad_query_id
 
-    def judge(self, prompt, kind, n):
+    def judge(self, prompt):
         if prompt.query_id == self.bad_query_id:
-            raise JudgeTransportError("endpoint melted", query_id=prompt.query_id)
-        ids = " > ".join(f"[{i}]" for i in range(1, n + 1))
-        return verdict_from_text(ids, kind, n)
+            raise JudgeTransportError("endpoint melted")
+        ids = " > ".join(f"[{i}]" for i in range(1, prompt.n + 1))
+        return verdict_from_text(ids, prompt.kind, prompt.n)
 
 
 def _split(outcomes):
@@ -102,6 +102,14 @@ class TestBatches:
             # the warning is logged before any query is judged
             assert skips == ["skipped 3 queries with no candidates: q1, q2, q4"]
         assert [qid for qid, _ in outcomes] == ["q0", "q3"]
+
+    def test_run_queries_without_query_text_summarised_in_one_warning(self, caplog):
+        corpus, queries, run, qrels = _inputs(n_queries=8)
+        with caplog.at_level(logging.WARNING):
+            outcomes = run_batch(rerank, queries[:1], run, corpus, OracleJudge(qrels), CFG)
+            skips = [r.getMessage() for r in caplog.records if "no query text" in r.getMessage()]
+            assert skips == ["skipped 7 run queries with no query text: q1, q2, q3, q4, q5, ..."]
+        assert [qid for qid, _ in outcomes] == ["q0"]
 
 
 class TestStreaming:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ragsift.corpus import Query
-from ragsift.judge import OracleJudge
+from ragsift.judge import RANKING, SELECTION, Judge, OracleJudge, verdict_from_text
 from ragsift.windowing import (
     PreselectedQueue,
     WindowConfig,
@@ -123,6 +123,23 @@ class TestRerank:
         cfg = WindowConfig(20, 6, 3)
         result = rerank(QUERY, passages, OracleJudge(qrels), cfg)
         assert result.trace.window_count == len(plan_ranking_windows(cfg))
+
+
+class OtherKindJudge(Judge):
+    """Answers every window with a valid verdict of the other task."""
+
+    def judge(self, prompt):
+        kind = SELECTION if prompt.kind == RANKING else RANKING
+        return verdict_from_text("[1]", kind, prompt.n)
+
+
+@pytest.mark.parametrize(
+    "engine, asked, answered", [(rerank, RANKING, SELECTION), (select, SELECTION, RANKING)]
+)
+def test_verdict_of_the_other_kind_is_refused(engine, asked, answered):
+    cfg = WindowConfig(depth=5, window_size=5, stride=1)
+    with pytest.raises(ValueError, match=f"a {asked} window with a {answered} verdict"):
+        engine(QUERY, make_passages(5), OtherKindJudge(), cfg)
 
 
 class TestSelect:
