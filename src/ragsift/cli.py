@@ -306,10 +306,12 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _window_cfg(args)
-    profile = parse_profile_spec(args.profile)
-    sim = simulate(cfg, profile, trials=args.trials, seed=args.seed, fresh_only=args.fresh_only)
+    profile, observed = parse_profile_spec(args.profile, cfg.depth)
+    sim = simulate(cfg, profile, trials=args.trials, seed=args.seed)
     doc = sim.to_json_dict()
     doc["ranking_windows"] = ranking_cost(cfg)
+    if observed is not None:
+        doc["observed_windows"] = observed
     out = _out_dir(args)
     (out / "cost_report.json").write_text(
         json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -317,6 +319,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _write_manifest(args, ["profile"], out)
     print(sim.table())
     print(f"ranking windows (fixed)  {doc['ranking_windows']}")
+    if observed is not None:
+        print(f"observed windows  {observed:.4f}")
     return 0
 
 
@@ -412,15 +416,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--profile",
         required=True,
-        help="selection profile: never, always, bernoulli:P, or a JSON histogram path",
+        help="fresh passages selected per window: never, always, bernoulli:P, a JSON "
+        "histogram path, or a select trace.jsonl",
     )
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--fresh-only",
-        action="store_true",
-        help="sticky-carry bracket: the profile drives fresh passages only",
-    )
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_simulate)
 

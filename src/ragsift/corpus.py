@@ -174,7 +174,8 @@ def not_utf8(path: Path) -> LoadError:
 
 def _id_text_records(path: Path, id_field: str) -> Iterator[tuple[int, str, str, str | None]]:
     """Yield ``(line number, id, text, title)`` from JSONL ``{<id_field>|_id,
-    text, title?}`` or, for a ``.tsv`` file, ``id<TAB>text[<TAB>title]``."""
+    text, title?}`` or, for a ``.tsv`` file, ``id<TAB>text[<TAB>title]``. A
+    missing field, an empty id or blank text is a ``LoadError`` naming the line."""
     tsv = path.suffix.lower() == ".tsv"
     for lineno, rec in delimited_rows(path, 2, "\t") if tsv else jsonl_records(path):
         if tsv:
@@ -188,6 +189,8 @@ def _id_text_records(path: Path, id_field: str) -> Iterator[tuple[int, str, str,
             rid, text, title = str(rid), str(rec["text"]), rec.get("title")
         if not rid:
             raise LoadError(f"{path}: empty {id_field} at line {lineno}")
+        if not text.strip():
+            raise LoadError(f"{path}: empty text for {id_field} {rid} at line {lineno}")
         yield lineno, rid, text, title
 
 
@@ -208,8 +211,6 @@ def load_corpus(path: str | Path, keep: Container[str] | None = None) -> Corpus:
     # duplicates among held passages are caught by the corpus, among the rest here
     dropped: set[str] = set()
     for lineno, doc_id, text, title in _id_text_records(path, "doc_id"):
-        if not text.strip():
-            raise LoadError(f"{path}: empty text for doc_id {doc_id} at line {lineno}")
         if keep is None or doc_id in keep:
             corpus._add(Passage(doc_id, text, title), f" at line {lineno} of {path}")
         elif doc_id in dropped:

@@ -2,9 +2,9 @@
 
 The selection engine's window count depends on how much the queue grows, so
 it is simulated: each trial replays the window-advance arithmetic (carry
-``min(stride, queue_len)`` queue members, fill with fresh candidates) with
-per-window selected counts drawn from a profile. The ranking engine's cost
-is fixed by geometry alone.
+``min(stride, queue_len)`` queue members, fill with fresh candidates) and
+grows the queue by the fresh passages each window selects, a count drawn
+from a profile. The ranking engine's cost is fixed by geometry alone.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import LoadError
+from .corpus import LoadError, jsonl_records
 from .windowing import WindowConfig, plan_ranking_windows, window_count_bounds
 
 _SUM_TOLERANCE = 1e-9
@@ -24,25 +24,16 @@ _SUM_TOLERANCE = 1e-9
 
 @dataclass(frozen=True)
 class SelectionProfile:
-    """Distribution over per-window selected counts.
+    """Distribution over the count of fresh passages selected per window.
 
-    Parametric kinds: ``never`` (select nothing), ``always`` (select the
-    whole window), ``bernoulli`` (each passage selected independently with
-    probability p). ``histogram`` draws a count from an empirical histogram,
-    clamped to the actual window size.
+    ``bernoulli`` selects each fresh passage independently with probability
+    p. ``histogram`` draws a count from an empirical histogram, clamped to
+    the window's fresh count.
     """
 
     kind: str
     p: float | None = None
     histogram: tuple[tuple[int, float], ...] | None = None
-
-    @staticmethod
-    def never() -> "SelectionProfile":
-        return SelectionProfile(kind="never")
-
-    @staticmethod
-    def always() -> "SelectionProfile":
-        return SelectionProfile(kind="always")
 
     @staticmethod
     def bernoulli(p: float) -> "SelectionProfile":
@@ -66,13 +57,9 @@ class SelectionProfile:
             return max(c for c, p in self.histogram if p > 0)
         return None
 
-    def draw(self, rng: random.Random, window_size: int) -> int:
-        if self.kind == "never":
-            return 0
-        if self.kind == "always":
-            return window_size
+    def draw(self, rng: random.Random, fresh: int) -> int:
         if self.kind == "bernoulli":
-            return sum(1 for _ in range(window_size) if rng.random() < (self.p or 0.0))
+            return sum(1 for _ in range(fresh) if rng.random() < (self.p or 0.0))
         if self.kind == "histogram":
             r = rng.random()
             acc = 0.0
@@ -81,7 +68,7 @@ class SelectionProfile:
                 acc += prob
                 if r < acc:
                     break
-            return min(count, window_size)
+            return min(count, fresh)
         raise ValueError(f"unknown profile kind {self.kind!r}")
 
 
@@ -119,29 +106,61 @@ def load_profile(path: str | Path) -> SelectionProfile:
         raise LoadError(f"{path}: {exc}") from exc
 
 
-def parse_profile_spec(spec: str) -> SelectionProfile:
-    """Parse a CLI profile spec: never, always, bernoulli:P, or a JSON path.
+def profile_from_trace(path: str | Path, depth: int) -> tuple[SelectionProfile, float]:
+    """Measure a histogram profile from a ``select`` trace.
+
+    Each window counts the ids it selected after its carried ones. Only
+    queries whose windows hold ``depth`` fresh candidates count, so partial
+    traces of aborted queries are left out. Returns the profile and the mean
+    window count of those queries. A record that is not a selection window,
+    or a trace in which no query saw ``depth`` candidates, is a ``LoadError``.
+    """
+    path = Path(path)
+    picked: dict[str, list[int]] = {}  # query id -> fresh ids selected per window
+    seen: Counter[str] = Counter()  # query id -> fresh candidates judged
+    for lineno, rec in jsonl_records(path):
+        try:
+            carried, selected = len(rec["carried"]), rec["verdict"]["selected"]
+            picked.setdefault(rec["query_id"], []).append(sum(i > carried for i in selected))
+            seen[rec["query_id"]] += len(rec["fresh"])
+        except (KeyError, TypeError):
+            raise LoadError(f"{path}: line {lineno} is not a selection window") from None
+    complete = [counts for qid, counts in picked.items() if seen[qid] == depth]
+    if not complete:
+        raise LoadError(f"{path}: no query in the trace saw --depth {depth} candidates")
+    histogram = Counter(n for counts in complete for n in counts)
+    windows = sum(histogram.values())
+    profile = SelectionProfile.from_histogram({n: k / windows for n, k in histogram.items()})
+    return profile, windows / len(complete)
+
+
+def parse_profile_spec(spec: str, depth: int) -> tuple[SelectionProfile, float | None]:
+    """Parse a CLI profile spec: never, always, bernoulli:P, a JSON histogram
+    path, or a ``select`` trace path ending in ``.jsonl``.
+
+    ``never`` is ``bernoulli:0`` and ``always`` is ``bernoulli:1``. Returns
+    the profile and, for a trace, the mean window count it observed.
 
     Raises:
         ValueError: naming the spec and the accepted forms, for a bernoulli
             probability that is not a number in [0, 1] and for a spec that
             is none of the named forms and no existing file.
-        LoadError: from ``load_profile``, for a file that is not a profile.
+        LoadError: from ``load_profile`` or ``profile_from_trace``, for a
+            file that is not a profile.
     """
-    if spec == "never":
-        return SelectionProfile.never()
-    if spec == "always":
-        return SelectionProfile.always()
-    if spec.startswith("bernoulli:"):
+    form = {"never": "bernoulli:0", "always": "bernoulli:1"}.get(spec, spec)
+    if form.startswith("bernoulli:"):
         try:
-            return SelectionProfile.bernoulli(float(spec.split(":", 1)[1]))
+            return SelectionProfile.bernoulli(float(form.split(":", 1)[1])), None
         except ValueError:
             pass
     elif Path(spec).is_file():
-        return load_profile(spec)
+        if spec.endswith(".jsonl"):
+            return profile_from_trace(spec, depth)
+        return load_profile(spec), None
     raise ValueError(
         f"--profile {spec!r} is not one of: never, always, bernoulli:P with 0 <= P <= 1, "
-        "or a JSON profile file"
+        "a JSON profile file, or a select trace.jsonl"
     )
 
 
@@ -177,43 +196,25 @@ class SimulationReport:
         return "\n".join(lines)
 
 
-def _one_trial(
-    cfg: WindowConfig, profile: SelectionProfile, rng: random.Random, fresh_only: bool
-) -> int:
+def _one_trial(cfg: WindowConfig, profile: SelectionProfile, rng: random.Random) -> int:
     remaining = cfg.depth
     queue_len = 0
     windows = 0
     while remaining > 0:
-        carry = min(cfg.stride, queue_len)
-        fresh = min(cfg.window_size - carry, remaining)
-        n = fresh if fresh_only else carry + fresh
-        drawn = min(profile.draw(rng, n), n)
-        if fresh_only:
-            new_members = drawn
-        else:
-            # selections land uniformly across the window; only fresh slots
-            # add queue members, reselecting carried ones is a dedup no-op
-            picked = rng.sample(range(carry + fresh), drawn)
-            new_members = sum(1 for i in picked if i >= carry)
-        queue_len += new_members
+        fresh = min(cfg.window_size - min(cfg.stride, queue_len), remaining)
+        queue_len += profile.draw(rng, fresh)
         remaining -= fresh
         windows += 1
     return windows
 
 
 def simulate(
-    cfg: WindowConfig,
-    profile: SelectionProfile,
-    trials: int,
-    seed: int,
-    fresh_only: bool = False,
+    cfg: WindowConfig, profile: SelectionProfile, trials: int, seed: int
 ) -> SimulationReport:
     """Estimate the selection engine's window count distribution.
 
-    ``fresh_only`` switches to the sticky-carry bracket where the profile
-    drives fresh passages only (carried ones are assumed independently
-    reselected, which never changes the queue length). Fixed seed implies an
-    identical histogram.
+    The profile drives fresh passages only: each window's draw is the count
+    of queue members it adds. Fixed seed implies an identical histogram.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -225,7 +226,7 @@ def simulate(
     rng = random.Random(seed)
     counts: Counter[int] = Counter()
     for _ in range(trials):
-        counts[_one_trial(cfg, profile, rng, fresh_only)] += 1
+        counts[_one_trial(cfg, profile, rng)] += 1
 
     mean = sum(k * v for k, v in counts.items()) / trials
     var = sum(v * (k - mean) ** 2 for k, v in counts.items()) / trials

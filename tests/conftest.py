@@ -20,13 +20,11 @@ _TESTS_DIR = Path(__file__).parent
 
 
 def pytest_collection_modifyitems(config, items):
-    # a file handle or socket left open, on an error path too, fails its test
+    # any warning fails its test: a file handle or socket left open, on an
+    # error path too, and an exception raised where nothing can catch it
     for item in items:
         if _TESTS_DIR in item.path.parents:
-            item.add_marker(pytest.mark.filterwarnings("error::ResourceWarning"))
-            item.add_marker(
-                pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
-            )
+            item.add_marker(pytest.mark.filterwarnings("error"))
 
 
 @pytest.fixture(scope="session")

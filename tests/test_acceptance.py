@@ -65,9 +65,9 @@ def test_criterion_2_selection_cost_bounds():
     lo, hi = window_count_bounds(cfg)
     assert (lo, hi) == (5, 9)
 
-    never = simulate(cfg, SelectionProfile.never(), trials=2000, seed=1)
+    never = simulate(cfg, SelectionProfile.bernoulli(0.0), trials=2000, seed=1)
     assert never.mean_windows == float(lo) and never.histogram == {5: 2000}
-    always = simulate(cfg, SelectionProfile.always(), trials=2000, seed=1)
+    always = simulate(cfg, SelectionProfile.bernoulli(1.0), trials=2000, seed=1)
     assert always.mean_windows == float(hi) and always.histogram == {9: 2000}
 
     rng = random.Random(2024)

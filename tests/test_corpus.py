@@ -277,8 +277,12 @@ MALFORMED_LINES = [
     ("queries-jsonl", "bad JSON", '{"query_id": "q2",'),
     ("queries-jsonl", "missing field", '{"query_id": "q2"}'),
     ("queries-jsonl", "duplicate", '{"query_id": "q1", "text": "again"}'),
+    ("queries-jsonl", "empty text", '{"query_id": "q2", "text": ""}'),
+    ("queries-jsonl", "blank text", '{"query_id": "q2", "text": " \\t "}'),
     ("queries-tsv", "too few columns", "q2"),
     ("queries-tsv", "duplicate", "q1\tagain"),
+    ("queries-tsv", "empty text", "q2\t"),
+    ("queries-tsv", "blank text", "q2\t  \ttitle"),
     ("run", "too few columns", "q1 Q0 d2 2"),
     ("run", "duplicate", "q1 Q0 d1 2 1.0 x"),
     ("qrels", "too few columns", "q1 0 d2"),

@@ -5,14 +5,18 @@ import random
 
 import pytest
 
+from ragsift.corpus import LoadError, Query
 from ragsift.costsim import (
     SelectionProfile,
     load_profile,
     parse_profile_spec,
+    profile_from_trace,
     ranking_cost,
     simulate,
 )
-from ragsift.windowing import WindowConfig, window_count_bounds
+from ragsift.judge import OracleJudge
+from ragsift.windowing import WindowConfig, select, trace_lines, window_count_bounds
+from tests.conftest import make_passages, make_qrels
 
 
 CFG = WindowConfig(100, 20, 10)
@@ -40,20 +44,20 @@ class TestProfiles:
         assert profile.max_support() == 3
 
     def test_parse_profile_specs(self):
-        assert parse_profile_spec("never").kind == "never"
-        assert parse_profile_spec("always").kind == "always"
-        assert parse_profile_spec("bernoulli:0.3").p == 0.3
+        assert parse_profile_spec("never", 100) == (SelectionProfile.bernoulli(0.0), None)
+        assert parse_profile_spec("always", 100) == (SelectionProfile.bernoulli(1.0), None)
+        assert parse_profile_spec("bernoulli:0.3", 100) == (SelectionProfile.bernoulli(0.3), None)
 
 
 class TestSimulate:
     def test_never_profile_hits_min_exactly(self):
-        report = simulate(CFG, SelectionProfile.never(), trials=200, seed=1)
+        report = simulate(CFG, SelectionProfile.bernoulli(0.0), trials=200, seed=1)
         assert report.mean_windows == 5.0
         assert report.ci95 == (5.0, 5.0)
         assert report.histogram == {5: 200}
 
     def test_always_profile_hits_max_exactly(self):
-        report = simulate(CFG, SelectionProfile.always(), trials=200, seed=1)
+        report = simulate(CFG, SelectionProfile.bernoulli(1.0), trials=200, seed=1)
         assert report.mean_windows == 9.0
         assert report.histogram == {9: 200}
 
@@ -89,14 +93,36 @@ class TestSimulate:
         assert a.histogram == b.histogram
         assert a.mean_windows == b.mean_windows
 
-    def test_fresh_only_mode_also_bounded(self):
-        lo, hi = window_count_bounds(CFG)
-        report = simulate(CFG, SelectionProfile.bernoulli(0.3), trials=300, seed=5, fresh_only=True)
-        assert all(lo <= c <= hi for c in report.histogram)
-
     def test_ci_brackets_mean(self):
         report = simulate(CFG, SelectionProfile.bernoulli(0.05), trials=2000, seed=11)
         assert report.ci95[0] <= report.mean_windows <= report.ci95[1]
+
+
+@pytest.fixture(scope="module")
+def oracle_trace(tmp_path_factory):
+    """An oracle ``select`` trace of 300 queries at CFG, each passage relevant with p 0.04."""
+    rng = random.Random(17)
+    passages = make_passages(CFG.depth)
+    path = tmp_path_factory.mktemp("trace") / "trace.jsonl"
+    with path.open("w", encoding="utf-8") as fh:
+        for i in range(300):
+            qid = f"q{i}"
+            qrels = make_qrels(qid, {p.doc_id: 1 for p in passages if rng.random() < 0.04})
+            result = select(Query(qid, "what is it"), passages, OracleJudge(qrels), CFG)
+            fh.write(trace_lines(result.trace))
+    return path
+
+
+class TestProfileFromTrace:
+    def test_prediction_within_five_percent_of_observed(self, oracle_trace):
+        profile, observed = profile_from_trace(oracle_trace, CFG.depth)
+        assert profile.kind == "histogram"
+        report = simulate(CFG, profile, trials=5000, seed=0)
+        assert abs(report.mean_windows / observed - 1) < 0.05
+
+    def test_no_query_at_depth_is_refused(self, oracle_trace):
+        with pytest.raises(LoadError, match="no query in the trace saw --depth 50"):
+            profile_from_trace(oracle_trace, 50)
 
 
 class TestRankingCost:

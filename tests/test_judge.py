@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -259,6 +260,8 @@ class _ChatHandler(BaseHTTPRequestHandler):
     requests_meta: list[tuple[str, str | None]] = []
     # one per TCP connection accepted
     sockets: list[socket.socket] = []
+    # the connections close_idle shut down, whose handlers may fail reading
+    shut_down: list[socket.socket] = []
     release = threading.Event()
     lock = threading.Lock()
 
@@ -304,15 +307,29 @@ class _KeepAliveChatHandler(_ChatHandler):
         """Close every connection from the server side, as an idle timeout would."""
         with cls.lock:
             for sock in cls.sockets:
+                cls.shut_down.append(sock)
                 with contextlib.suppress(OSError):
                     sock.shutdown(socket.SHUT_RDWR)
 
 
+class _CheckedServer(ThreadingHTTPServer):
+    """Records the handler errors ``socketserver`` would only print."""
+
+    def __init__(self, handler):
+        super().__init__(("127.0.0.1", 0), handler)
+        self.errors: list[str] = []
+
+    def handle_error(self, request, client_address):
+        if request not in self.RequestHandlerClass.shut_down:
+            self.errors.append(traceback.format_exc())
+
+
 @contextlib.contextmanager
 def _serving(handler):
+    """Serve ``handler`` on a local port; a handler error fails the test that caused it."""
     handler.responses, handler.requests_seen, handler.requests_meta = [], [], []
-    handler.sockets, handler.release = [], threading.Event()
-    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    handler.sockets, handler.shut_down, handler.release = [], [], threading.Event()
+    server = _CheckedServer(handler)
     # a short poll interval keeps shutdown() from waiting out the default half second
     thread = threading.Thread(
         target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
@@ -325,6 +342,8 @@ def _serving(handler):
         server.shutdown()
         server.server_close()
         thread.join(10)
+    if server.errors:
+        pytest.fail("stub server handler raised:\n" + "\n".join(server.errors))
 
 
 @pytest.fixture
@@ -353,7 +372,6 @@ def remote_judge():
         judge.close()
 
 
-@pytest.mark.filterwarnings("error")
 class TestRemoteJudge:
     def test_payload_and_parse(self, chat_server, remote_judge):
         url, handler = chat_server
@@ -447,7 +465,6 @@ class TestRemoteJudge:
         assert all(conn.sock is None for conn in judge._connections)
 
 
-@pytest.mark.filterwarnings("error")
 class TestKeepAliveTransport:
     def test_sequential_calls_share_one_connection(self, keepalive_server, remote_judge):
         url, handler = keepalive_server
