@@ -1,10 +1,11 @@
 """Teacher-annotation export for distillation training.
 
-Each training query's top candidates are judged in a single window, run by
-the shared batch runner, and the teacher output is validated strictly:
-unlike inference-time parsing, nothing is repaired, and any output whose one
-parse needed repair is rejected with defect tags read off the verdict.
-Passing targets are canonicalized so they re-parse with zero repairs.
+Each training query is judged by the ``select`` or ``rerank`` engine on the
+shared batch runner, one record per judged window, carried queue members
+included. The teacher output is validated strictly: unlike inference-time
+parsing, nothing is repaired, and any output whose one parse needed repair
+is rejected with defect tags read off the verdict. Passing targets are
+canonicalized so they re-parse with zero repairs.
 """
 
 from __future__ import annotations
@@ -24,14 +25,12 @@ from .judge import (
     SELECTION,
     UNPARSEABLE,
     Judge,
-    JudgeTransportError,
     JudgeVerdict,
     canonical_text,
-    judge_window,
     verdict_from_text,
 )
-from .prompting import PromptBudget, PromptTemplate, default_templates, render
-from .windowing import WindowConfig
+from .prompting import PromptBudget, PromptTemplate, RenderedPrompt
+from .windowing import QueryFailure, WindowConfig, rerank, select
 
 logger = logging.getLogger(__name__)
 
@@ -54,15 +53,6 @@ class TrainingRecord:
     target_text: str
     passed: bool
     defects: list[str] = field(default_factory=list)
-
-    def to_messages(self) -> dict:
-        return {
-            "messages": [
-                {"role": "system", "content": self.system_text},
-                {"role": "user", "content": self.prompt_text},
-                {"role": "assistant", "content": self.target_text},
-            ]
-        }
 
 
 def verdict_defects(verdict: JudgeVerdict) -> list[str]:
@@ -100,6 +90,20 @@ def validate_generation(text: str, kind: str, n: int) -> tuple[bool, list[str]]:
     return not defects, defects
 
 
+class _WindowLog(Judge):
+    """Judges with ``inner``, keeping each window's prompt and verdict (``None`` if it raised)."""
+
+    def __init__(self, inner: Judge):
+        self.inner = inner
+        self.windows: list[tuple[RenderedPrompt, JudgeVerdict | None]] = []
+
+    def judge(self, prompt: RenderedPrompt) -> JudgeVerdict:
+        self.windows.append((prompt, None))
+        verdict = self.inner.judge(prompt)
+        self.windows[-1] = (prompt, verdict)
+        return verdict
+
+
 def annotate_query(
     query: Query,
     passages: Sequence[Passage],
@@ -109,34 +113,32 @@ def annotate_query(
     budget: PromptBudget | None,
     *,
     kind: str,
-) -> TrainingRecord:
-    """Judge one query's top ``cfg.depth`` passages in a single window.
+) -> list[TrainingRecord]:
+    """One record per window the ``kind`` engine judges for ``query``, in window order.
 
-    A judge transport failure yields a failed record tagged ``transport``
-    instead of aborting the batch.
+    ``select`` judges a selection annotation and ``rerank`` a ranking one,
+    with the prompts that command judges at ``cfg``. The teacher's verdict
+    steers the sweep, repaired if need be, even when its record is rejected.
+    A transport failure ends the sweep, not the batch: the windows judged
+    before it keep their records, and the failed one's is tagged ``transport``.
     """
-    ranking_template, selection_template = templates or default_templates()
-    template = ranking_template if kind == RANKING else selection_template
-    prompt = render(template, query, passages[: cfg.depth], budget)
+    log = _WindowLog(judge)
     try:
-        verdict = judge_window(judge, prompt)
-    except JudgeTransportError as exc:
-        logger.warning("teacher unreachable for query %s: %s", query.query_id, exc)
-        raw_text, target_text, defects = "", "", [TRANSPORT]
-    else:
-        defects = verdict_defects(verdict)
-        raw_text = verdict.raw_text
+        (rerank if kind == RANKING else select)(query, passages, log, cfg, templates, budget)
+    except QueryFailure as failure:
+        logger.warning("teacher unreachable for query %s: %s", query.query_id, failure.error)
+    records = []
+    for prompt, verdict in log.windows:
+        defects = [TRANSPORT] if verdict is None else verdict_defects(verdict)
+        raw_text = "" if verdict is None else verdict.raw_text
         target_text = "" if defects else canonical_text(verdict)
-    return TrainingRecord(
-        query_id=query.query_id,
-        kind=kind,
-        system_text=prompt.system,
-        prompt_text=prompt.user,
-        raw_text=raw_text,
-        target_text=target_text,
-        passed=not defects,
-        defects=defects,
-    )
+        records.append(
+            TrainingRecord(
+                query.query_id, prompt.kind, prompt.system, prompt.user,
+                raw_text, target_text, not defects, defects,
+            )
+        )
+    return records
 
 
 def training_line(record: TrainingRecord) -> tuple[int, str]:
@@ -146,7 +148,12 @@ def training_line(record: TrainingRecord) -> tuple[int, str]:
     to ``rejected.jsonl`` with its defect tags and the raw teacher text.
     """
     if record.passed:
-        return 0, json.dumps(record.to_messages(), ensure_ascii=False) + "\n"
+        messages = [
+            {"role": "system", "content": record.system_text},
+            {"role": "user", "content": record.prompt_text},
+            {"role": "assistant", "content": record.target_text},
+        ]
+        return 0, json.dumps({"messages": messages}, ensure_ascii=False) + "\n"
     rejected = {
         "query_id": record.query_id,
         "kind": record.kind,

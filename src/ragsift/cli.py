@@ -18,7 +18,7 @@ from contextlib import ExitStack, closing, contextmanager
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from . import __version__
 from .annotate import TRAINING_FILES, annotate_query, training_line
@@ -41,7 +41,7 @@ from .metrics import (
     evaluate_answers,
     evidence_scores,
     load_predictions,
-    ndcg_at_k,
+    mean_in_order,
     ndcg_per_query,
     write_report,
 )
@@ -170,19 +170,19 @@ def _stream_batch(
     engine: Callable,
     cfg: WindowConfig,
     outputs: Sequence[str],
-    line: Callable[[str, object], tuple[int, str]],
-) -> tuple[Path, list[int], list[QueryFailure]]:
-    """Judge every query with ``engine``, writing each result's lines to one of ``outputs``.
+    lines: Callable[[str, object], Iterable[tuple[int, str]]],
+) -> tuple[Path, int, list[int], list[QueryFailure]]:
+    """Judge every query with ``engine``, writing each result's lines to ``outputs``.
 
-    ``line(query_id, result)`` returns ``(i, text)``: ``text`` goes to
-    ``outputs[i]``. Each query's lines and trace are written as its outcome
-    arrives, and the outcome is dropped; the partial traces of aborted
+    ``lines(query_id, result)`` yields ``(i, text)`` pairs, and ``text`` goes
+    to ``outputs[i]``. A query's lines and trace are written as its outcome
+    arrives, then the outcome is dropped; the partial traces of aborted
     queries follow, in query_id order. Returns the output directory, the
-    number of results written to each output, and the failures.
+    queries written, the lines written to each output, and the failures.
     """
     queries, run, corpus, judge, templates, budget = _load_batch_inputs(args)
     trace = getattr(args, "trace", False)  # annotate writes no trace
-    counts, failures = [0] * len(outputs), []
+    done, counts, failures = 0, [0] * len(outputs), []
     with closing(judge):
         outcomes = run_batch(
             engine, queries, run, corpus, judge, cfg, templates, budget, args.parallel
@@ -194,37 +194,41 @@ def _stream_batch(
                 if isinstance(outcome, QueryFailure):
                     failures.append(outcome)
                     continue
-                i, text = line(qid, outcome)
-                files[i].write(text)
-                counts[i] += 1
+                done += 1
+                for i, text in lines(qid, outcome):
+                    files[i].write(text)
+                    counts[i] += 1
                 if trace:
                     files[-1].write(trace_lines(outcome.trace))
             if trace:
                 for failure in failures:
                     files[-1].write(trace_lines(failure.partial_trace))
     _write_manifest(args, _BATCH_INPUT_FLAGS, out)
-    return out, counts, failures
+    return out, done, counts, failures
 
 
 def cmd_rerank(args: argparse.Namespace) -> int:
-    out, (done,), failures = _stream_batch(
+    if not args.tag or any(c.isspace() for c in args.tag):
+        # the tag is the sixth column of every run line
+        raise ValueError(f"--tag must be non-empty with no whitespace, got {args.tag!r}")
+    out, done, _, failures = _stream_batch(
         args,
         rerank,
         _window_cfg(args),
         ["run.trec"],
-        lambda qid, res: (0, trec_lines(qid, res.ranked_ids, args.tag)),
+        lambda qid, res: [(0, trec_lines(qid, res.ranked_ids, args.tag))],
     )
     print(f"reranked {done} queries -> {out / 'run.trec'}")
     return _report_failures(failures)
 
 
 def cmd_select(args: argparse.Namespace) -> int:
-    out, (done,), failures = _stream_batch(
+    out, done, _, failures = _stream_batch(
         args,
         select,
         _window_cfg(args),
         ["selected.jsonl"],
-        lambda qid, res: (0, selection_line(qid, res)),
+        lambda qid, res: [(0, selection_line(qid, res))],
     )
     print(f"selected for {done} queries -> {out / 'selected.jsonl'}")
     return _report_failures(failures)
@@ -266,8 +270,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             raise LoadError("nDCG requested (--ndcg-k) but no --qrels file given")
         if run is None:
             run = load_run(args.run, max_depth=args.depth)
-        report.ndcg = {k: ndcg_at_k(run, qrels, k) for k in args.ndcg_k}
         report.ndcg_queries = {k: ndcg_per_query(run, qrels, k) for k in args.ndcg_k}
+        report.ndcg = {k: mean_in_order(v.values()) for k, v in report.ndcg_queries.items()}
 
     if report.answers is None and report.evidence is None and report.ndcg is None:
         raise LoadError(
@@ -285,22 +289,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
-    # annotation judges one window, so the stride never applies
-    cfg = WindowConfig(depth=args.depth, window_size=args.w, stride=1)
-    if cfg.depth > cfg.window_size:
-        raise ValueError(
-            f"annotation is single-window: depth ({cfg.depth}) must be <= "
-            f"window_size ({cfg.window_size})"
-        )
     # a teacher transport failure is a rejected record, never an aborted query
-    out, (passed, rejected), _ = _stream_batch(
+    out, done, (passed, rejected), _ = _stream_batch(
         args,
         partial(annotate_query, kind=args.kind),
-        cfg,
+        WindowConfig(depth=args.depth, window_size=args.w),
         TRAINING_FILES,
-        lambda qid, record: training_line(record),
+        lambda qid, records: map(training_line, records),
     )
-    print(f"annotated {passed + rejected} queries: {passed} kept, {rejected} rejected -> {out}")
+    print(f"annotated {done} queries: {passed} records kept, {rejected} rejected -> {out}")
     return 0
 
 
@@ -407,7 +404,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p, trace=False)
     p.add_argument("--kind", choices=["ranking", "selection"], required=True)
     p.add_argument("--w", type=int, default=20, help="window size (default 20)")
-    p.add_argument("--depth", type=int, default=20, help="candidates per query (default 20)")
+    p.add_argument(
+        "--depth", type=int, default=20, help="candidates per query, swept at stride 10 past --w (default 20)"
+    )
     _add_judge_flags(p)
     p.set_defaults(func=cmd_annotate)
 

@@ -175,7 +175,7 @@ def not_utf8(path: Path) -> LoadError:
 def _id_text_records(path: Path, id_field: str) -> Iterator[tuple[int, str, str, str | None]]:
     """Yield ``(line number, id, text, title)`` from JSONL ``{<id_field>|_id,
     text, title?}`` or, for a ``.tsv`` file, ``id<TAB>text[<TAB>title]``. A
-    missing field, an empty id or blank text is a ``LoadError`` naming the line."""
+    missing, empty or mistyped field is a ``LoadError`` naming the line."""
     tsv = path.suffix.lower() == ".tsv"
     for lineno, rec in delimited_rows(path, 2, "\t") if tsv else jsonl_records(path):
         if tsv:
@@ -186,7 +186,12 @@ def _id_text_records(path: Path, id_field: str) -> Iterator[tuple[int, str, str,
                 raise LoadError(f"{path}: missing {id_field} field at line {lineno}")
             if "text" not in rec:
                 raise LoadError(f"{path}: missing text field at line {lineno}")
-            rid, text, title = str(rid), str(rec["text"]), rec.get("title")
+            text, title = rec["text"], rec.get("title")
+            if not isinstance(rid, (str, int)) or isinstance(rid, bool):
+                raise LoadError(f"{path}: {id_field} is not a string or integer at line {lineno}")
+            if not isinstance(text, str) or not isinstance(title, (str, type(None))):
+                raise LoadError(f"{path}: text or title is not a string at line {lineno}")
+            rid = str(rid)
         if not rid:
             raise LoadError(f"{path}: empty {id_field} at line {lineno}")
         if not text.strip():

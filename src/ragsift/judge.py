@@ -110,12 +110,7 @@ def _find_ids(pattern: re.Pattern[str], text: str) -> list[int]:
 
 
 def _dedup_and_bound(ids: list[int], n: int, tags: set[str]) -> list[int]:
-    seen: set[int] = set()
-    deduped = []
-    for i in ids:
-        if i not in seen:
-            seen.add(i)
-            deduped.append(i)
+    deduped = list(dict.fromkeys(ids))
     if len(deduped) != len(ids):
         tags.add(DEDUP)
     bounded = [i for i in deduped if 1 <= i <= n]

@@ -12,8 +12,10 @@ import math
 import string
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 from .corpus import CandidateList, Qrels, load_query_field
 
@@ -174,18 +176,18 @@ def ndcg_at_k(run: Mapping[str, CandidateList], qrels: Qrels, k: int) -> float:
     Queries absent from the qrels (or with no relevant document) contribute
     0 and stay in the denominator.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not run:
-        return 0.0
-    total = 0.0
-    for qid, cl in run.items():
-        total += ndcg_query(cl.doc_ids(), qrels.grades_for(qid), k)
-    return total / len(run)
+    return mean_in_order(ndcg_per_query(run, qrels, k).values())
 
 
 def ndcg_per_query(run: Mapping[str, CandidateList], qrels: Qrels, k: int) -> dict[str, float]:
+    if k < 1:
+        raise ValueError("k must be >= 1")
     return {qid: ndcg_query(cl.doc_ids(), qrels.grades_for(qid), k) for qid, cl in run.items()}
+
+
+def mean_in_order(values: Collection[float]) -> float:
+    """Mean of ``values``, added one by one in their order; 0 when empty."""
+    return reduce(add, values, 0.0) / len(values) if values else 0.0
 
 
 def load_predictions(path: str | Path) -> dict[str, str]:

@@ -1,10 +1,10 @@
 """Batch orchestration: run an engine over many queries with bounded parallelism.
 
 One runner serves every per-query engine: ``run_batch(rerank, ...)``,
-``run_batch(select, ...)``, and annotation's single-window
-``annotate_query``. It owns the policy they share: queries in query_id
-order; queries without candidates, and run queries without query text,
-skipped and summarised in one warning each.
+``run_batch(select, ...)``, and annotation's ``annotate_query``, which runs
+one of those two and keeps a record per window. It owns the policy they
+share: queries in query_id order; queries without candidates, and run
+queries without query text, skipped and summarised in one warning each.
 Per-query work stays sequential (each window depends on the previous state);
 queries run concurrently on a thread pool. Failures follow a skip-and-record
 policy: a query whose judge transport dies is recorded with its partial
@@ -61,14 +61,14 @@ def run_batch(
     """Run ``engine`` over every query that has candidates, ``parallel`` at a time.
 
     ``engine`` is called as ``engine(query, passages, judge, cfg, templates,
-    budget)``: ``rerank``, ``select``, or a single-window engine such as
-    ``annotate_query``. Returns a generator of ``(query_id, outcome)`` in
-    query_id order whatever ``parallel`` is; the outcome is the engine's
-    result, or a ``QueryFailure`` for a query the judge transport aborted.
-    The run is checked against the corpus, and queries without candidates
-    and run queries without query text are skipped with one warning each,
-    before this returns; judging starts on the first ``next()``. Close the
-    generator before closing the judge, so that no worker is still judging.
+    budget)``: ``rerank``, ``select``, or ``annotate_query``. Returns a
+    generator of ``(query_id, outcome)`` in query_id order whatever
+    ``parallel`` is; the outcome is the engine's result, or a ``QueryFailure``
+    for a query the judge transport aborted. The run is checked against the
+    corpus, and queries without candidates and run queries without query text
+    are skipped with one warning each, before this returns; judging starts on
+    the first ``next()``. Close the generator before closing the judge, so that
+    no worker is still judging.
     """
     if parallel < 1:
         raise ValueError(f"parallel must be at least 1, got {parallel}")

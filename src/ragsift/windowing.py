@@ -80,32 +80,6 @@ class WindowTrace:
         self.windows.append(rec)
         self.prompt_char_count += prompt.char_count()
 
-    def to_jsonl_records(self) -> list[dict]:
-        out = []
-        for rec in self.windows:
-            v = rec.verdict
-            out.append(
-                {
-                    "query_id": self.query_id,
-                    "window_index": rec.window_index,
-                    "carried": list(rec.carried),
-                    "fresh": list(rec.fresh),
-                    "verdict": {
-                        "kind": v.kind,
-                        "permutation": list(v.permutation) if v.permutation else None,
-                        "selected": list(v.selected) if v.selected is not None else None,
-                        "pseudo_answer": v.pseudo_answer,
-                        "repairs": list(v.repairs),
-                        "raw_text": v.raw_text,
-                    },
-                    "queue_after": list(rec.queue_after) if rec.queue_after is not None else None,
-                    "window_after": (
-                        list(rec.window_after) if rec.window_after is not None else None
-                    ),
-                }
-            )
-        return out
-
 
 class QueryFailure(RuntimeError):
     """A query the judge transport aborted; carries the trace of the windows judged before."""
@@ -151,9 +125,6 @@ class PreselectedQueue:
 
     def __iter__(self):
         return iter(self._ids)
-
-    def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._ids
 
     def __repr__(self) -> str:
         return f"PreselectedQueue({self._ids!r})"
@@ -241,17 +212,18 @@ def rerank(
             verdict = judge_window(judge, prompt)
         except JudgeTransportError as exc:
             raise QueryFailure(str(exc), trace) from exc
-        permuted = [window[i - 1] for i in verdict.permutation or ()]
-        order[start:end] = permuted
+        permutation = verdict.permutation or ()
+        order[start:end] = [window[i - 1] for i in permutation]
 
-        fresh_end = end if prev_start is None else prev_start
+        ids = prompt.doc_ids
+        fresh_count = (end if prev_start is None else prev_start) - start
         trace.record(
             WindowRecord(
                 window_index=idx,
-                carried=tuple(p.doc_id for p in window[fresh_end - start :]),
-                fresh=tuple(p.doc_id for p in window[: fresh_end - start]),
+                carried=ids[fresh_count:],
+                fresh=ids[:fresh_count],
                 verdict=verdict,
-                window_after=tuple(p.doc_id for p in permuted),
+                window_after=tuple([ids[i - 1] for i in permutation]),
             ),
             prompt,
         )
@@ -282,7 +254,7 @@ def select(
         raise ValueError("select needs at least one candidate")
     selection_template = (templates or default_templates())[1]
     cfg = _per_query_cfg(cfg, len(candidates))
-    by_id = {p.doc_id: p for p in candidates}
+    chosen: dict[str, Passage] = {}  # the passages selected so far, the only ones carried
 
     queue = PreselectedQueue()
     pseudo_answers: list[str | None] = []
@@ -293,7 +265,7 @@ def select(
     while pos < len(candidates):
         carried_ids = queue.head(min(cfg.stride, len(queue)))
         fresh = list(candidates[pos : pos + cfg.window_size - len(carried_ids)])
-        window = [by_id[d] for d in carried_ids] + fresh
+        window = [chosen[d] for d in carried_ids] + fresh
 
         prompt = render(selection_template, query, window, budget)
         try:
@@ -301,14 +273,16 @@ def select(
         except JudgeTransportError as exc:
             raise QueryFailure(str(exc), trace) from exc
 
-        queue.prepend([window[i - 1].doc_id for i in verdict.selected or ()])
+        picked = [window[i - 1] for i in verdict.selected or ()]
+        chosen.update((p.doc_id, p) for p in picked)
+        queue.prepend([p.doc_id for p in picked])
         pseudo_answers.append(verdict.pseudo_answer)
 
         trace.record(
             WindowRecord(
                 window_index=idx,
                 carried=tuple(carried_ids),
-                fresh=tuple(p.doc_id for p in fresh),
+                fresh=prompt.doc_ids[len(carried_ids) :],
                 verdict=verdict,
                 queue_after=tuple(queue),
             ),
@@ -331,9 +305,27 @@ def cut(ranked_ids: Sequence[str], k: int) -> list[str]:
 
 def trace_lines(trace: WindowTrace) -> str:
     """One query's audit trail: one JSONL window record per line."""
-    return "".join(
-        json.dumps(rec, ensure_ascii=False) + "\n" for rec in trace.to_jsonl_records()
-    )
+    lines = []
+    for rec in trace.windows:
+        v = rec.verdict
+        record = {
+            "query_id": trace.query_id,
+            "window_index": rec.window_index,
+            "carried": list(rec.carried),
+            "fresh": list(rec.fresh),
+            "verdict": {
+                "kind": v.kind,
+                "permutation": list(v.permutation) if v.permutation else None,
+                "selected": list(v.selected) if v.selected is not None else None,
+                "pseudo_answer": v.pseudo_answer,
+                "repairs": list(v.repairs),
+                "raw_text": v.raw_text,
+            },
+            "queue_after": list(rec.queue_after) if rec.queue_after is not None else None,
+            "window_after": list(rec.window_after) if rec.window_after is not None else None,
+        }
+        lines.append(json.dumps(record, ensure_ascii=False) + "\n")
+    return "".join(lines)
 
 
 def selection_line(query_id: str, result: SelectionResult) -> str:

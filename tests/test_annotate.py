@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import random
+import re
 from functools import partial
 
 import pytest
@@ -23,6 +25,7 @@ from ragsift.judge import (
     Judge,
     JudgeTransportError,
     JudgeVerdict,
+    canonical_ranking_text,
     verdict_from_text,
 )
 from ragsift.pipeline import run_batch
@@ -97,10 +100,10 @@ class FailingJudge(Judge):
 
 
 def annotate(queries, run, corpus, judge, kind, cfg, parallel=1):
-    """Every query's training record, in query_id order, from the shared batch runner."""
+    """Every window's training record, in query_id and window order, from the shared batch runner."""
     engine = partial(annotate_query, kind=kind)
     batch = run_batch(engine, queries, run, corpus, judge, cfg, parallel=parallel)
-    return [record for _, record in batch]
+    return [record for _, records in batch for record in records]
 
 
 class TestAnnotate:
@@ -172,12 +175,18 @@ class TestAnnotate:
         with pytest.raises(ValueError, match="not a permutation"):
             annotate(queries, run, corpus, DuplicatingJudge(), RANKING, WindowConfig(4, 4, 2))
 
-    def test_depth_must_fit_single_window(self, mini_dir, tmp_path, capsys):
+    def test_deep_annotate_needs_w_above_the_stride(self, mini_dir, tmp_path, capsys):
+        # deeper than --w, annotate sweeps at the engines' stride of 10
+        flags = ["--kind", "ranking", "--depth", "30", "--w", "20", "--out", str(tmp_path / "a")]
+        assert main(["annotate", *_mini_flags(mini_dir), *flags]) == 0
+        capsys.readouterr()
         out = tmp_path / "out"
-        flags = ["--kind", "ranking", "--depth", "30", "--w", "20", "--out", str(out)]
+        flags = ["--kind", "ranking", "--depth", "30", "--w", "8", "--out", str(out)]
         assert main(["annotate", *_mini_flags(mini_dir), *flags]) == 1
         err = capsys.readouterr().err
-        assert err == "error: annotation is single-window: depth (30) must be <= window_size (20)\n"
+        assert err == (
+            "error: stride (10) must be smaller than window_size (8) when depth exceeds the window\n"
+        )
         assert not out.exists()
 
     def test_writer_splits_streams(self):
@@ -202,3 +211,104 @@ class TestAnnotate:
         rejected_lines = [json.loads(text) for i, text in lines if i == 1]
         assert rejected_lines[0]["query_id"] == "q1"
         assert rejected_lines[0]["defects"] == [IMPROPER_FORMAT]
+
+
+class CleanTeacherFailingAt(Judge):
+    """A teacher whose answers need no repair, until its transport fails at window ``fail_at``."""
+
+    def __init__(self, fail_at: int):
+        self.fail_at = fail_at
+        self.calls = 0
+
+    def judge(self, prompt):
+        self.calls += 1
+        if self.calls >= self.fail_at:
+            raise JudgeTransportError("down")
+        if prompt.kind == RANKING:
+            text = canonical_ranking_text(range(prompt.n, 0, -1))
+        else:
+            text = "alpha\nSelected: [1]"
+        return verdict_from_text(text, prompt.kind, prompt.n)
+
+
+def _deep_dataset(root, n_queries=4, depth=120):
+    """Input flags for ``n_queries`` queries of ``depth`` candidates, about one in eight relevant."""
+    rng = random.Random(7)
+    files = {"corpus.jsonl": [], "queries.jsonl": [], "run.trec": [], "qrels.txt": []}
+    for q in range(n_queries):
+        qid = f"q{q}"
+        files["queries.jsonl"].append(json.dumps({"query_id": qid, "text": f"question {q}"}))
+        for i in range(depth):
+            doc_id = f"{qid}d{i}"
+            files["corpus.jsonl"].append(json.dumps({"doc_id": doc_id, "text": f"passage {doc_id}"}))
+            files["run.trec"].append(f"{qid} Q0 {doc_id} {i + 1} {depth - i} bm25")
+            if rng.random() < 0.125:
+                files["qrels.txt"].append(f"{qid} 0 {doc_id} {rng.randint(1, 2)}")
+    for name, lines in files.items():
+        (root / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    flags = zip(["--corpus", "--queries", "--run", "--qrels"], files)
+    return [part for flag, name in flags for part in (flag, str(root / name))]
+
+
+def _jsonl(path):
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+class TestDeepSweep:
+    @pytest.mark.parametrize("kind", [RANKING, SELECTION])
+    def test_mid_sweep_failure_keeps_earlier_windows(self, kind, caplog):
+        corpus, queries, run = _mini_inputs(n_queries=1, depth=40)
+        judge = CleanTeacherFailingAt(3)
+        records = annotate(queries, run, corpus, judge, kind, WindowConfig(40, 20, 10))
+        assert [r.passed for r in records] == [True, True, False]
+        assert records[-1].defects == [TRANSPORT] and records[-1].raw_text == ""
+        assert "teacher unreachable for query q0" in caplog.text
+        if kind == SELECTION:
+            # window 2 carries the passage window 1 selected ahead of its fresh ones
+            prompt = records[1].prompt_text
+            assert prompt.index("text 0 0\n") < prompt.index("text 0 20\n")
+
+    @pytest.mark.parametrize("command, kind", [("select", SELECTION), ("rerank", RANKING)])
+    def test_annotate_replays_the_windows_a_run_judged(self, tmp_path, capsys, command, kind):
+        flags = _deep_dataset(tmp_path)
+        transcript = str(tmp_path / "t.jsonl")
+        geometry = ["--depth", "100", "--w", "20"]
+        recorded = [command, *flags, *geometry, "--s", "10", "--trace", "--transcript", transcript]
+        assert main([*recorded, "--out", str(tmp_path / "run")]) == 0
+        replayed = ["annotate", *flags, *geometry, "--kind", kind, "--judge", "replay"]
+        capsys.readouterr()
+        assert main([*replayed, "--transcript", transcript, "--out", str(tmp_path / "a")]) == 0
+
+        trace = _jsonl(tmp_path / "run" / "trace.jsonl")
+        train, rejected = (_jsonl(tmp_path / "a" / name) for name in TRAINING_FILES)
+        assert len(trace) > 4 * 5  # every query sweeps several windows
+        assert capsys.readouterr().out.startswith(
+            f"annotated 4 queries: {len(train)} records kept, {len(rejected)} rejected"
+        )
+        if kind == SELECTION:
+            # the oracle writes no pseudo answer, so every selection record is rejected
+            assert train == []
+            assert all(r["defects"] == [IMPROPER_FORMAT] for r in rejected)
+            assert [(r["query_id"], r["raw_text"]) for r in rejected] == [
+                (t["query_id"], t["verdict"]["raw_text"]) for t in trace
+            ]
+        else:
+            assert rejected == []
+            assert [r["messages"][2]["content"] for r in train] == [
+                t["verdict"]["raw_text"] for t in trace
+            ]
+            # a ranking window lists its fresh passages, then those carried up from below
+            shown = [re.findall(r"passage (q\d+d\d+)", r["messages"][1]["content"]) for r in train]
+            assert shown == [t["fresh"] + t["carried"] for t in trace]
+
+    @pytest.mark.parametrize("kind", [RANKING, SELECTION])
+    def test_deep_annotate_is_the_same_at_any_parallelism(self, tmp_path, kind):
+        flags = _deep_dataset(tmp_path, n_queries=8)
+        outputs = []
+        for parallel in ("1", "4"):
+            out = tmp_path / f"parallel{parallel}"
+            argv = ["annotate", *flags, "--kind", kind, "--depth", "100", "--w", "20"]
+            assert main([*argv, "--parallel", parallel, "--out", str(out)]) == 0
+            outputs.append([(out / name).read_bytes() for name in TRAINING_FILES])
+        assert outputs[0] == outputs[1]
+        assert sum(data.count(b"\n") for data in outputs[0]) > 8 * 5

@@ -968,6 +968,9 @@ class TestEntryPoints:
         ]
         bad_inputs = [
             (["rerank", *missing], "missing.trec"),
+            # a run tag must fit one TREC column; it is checked before any input is read
+            (["rerank", *missing, "--tag", ""], "--tag"),
+            (["rerank", *missing, "--tag", "a b"], "--tag"),
             (["select", *_mini_flags(mini_dir), "--parallel", "0"], "got 0"),
             (["select", *_mini_flags(mini_dir), "--parallel", "-1"], "got -1"),
         ]

@@ -68,6 +68,10 @@ class TestLoadCorpus:
         path = _write(tmp_path, "c.jsonl", '{"_id": "d1", "text": "one"}\n')
         assert "d1" in load_corpus(path)
 
+    def test_integer_id_and_null_title_accepted(self, tmp_path):
+        path = _write(tmp_path, "c.jsonl", '{"doc_id": 7, "text": "seven", "title": null}\n')
+        assert load_corpus(path)["7"] == Passage(doc_id="7", text="seven")
+
     def test_empty_text_rejected(self, tmp_path):
         path = _write(tmp_path, "c.jsonl", '{"doc_id": "d1", "text": "   "}\n')
         with pytest.raises(LoadError, match="empty text"):
@@ -272,11 +276,18 @@ MALFORMED_LINES = [
     ("corpus-jsonl", "bad JSON", '{"doc_id": "d2",'),
     ("corpus-jsonl", "missing field", '{"doc_id": "d2"}'),
     ("corpus-jsonl", "duplicate", '{"doc_id": "d1", "text": "again"}'),
+    ("corpus-jsonl", "null text", '{"doc_id": "d2", "text": null}'),
+    ("corpus-jsonl", "list text", '{"doc_id": "d2", "text": ["two"]}'),
+    ("corpus-jsonl", "object title", '{"doc_id": "d2", "text": "two", "title": {"t": 1}}'),
+    ("corpus-jsonl", "float id", '{"doc_id": 2.5, "text": "two"}'),
+    ("corpus-jsonl", "boolean id", '{"doc_id": true, "text": "two"}'),
     ("corpus-tsv", "too few columns", "d2"),
     ("corpus-tsv", "duplicate", "d1\tagain"),
     ("queries-jsonl", "bad JSON", '{"query_id": "q2",'),
     ("queries-jsonl", "missing field", '{"query_id": "q2"}'),
     ("queries-jsonl", "duplicate", '{"query_id": "q1", "text": "again"}'),
+    ("queries-jsonl", "null text", '{"query_id": "q2", "text": null}'),
+    ("queries-jsonl", "list id", '{"query_id": ["q2"], "text": "two"}'),
     ("queries-jsonl", "empty text", '{"query_id": "q2", "text": ""}'),
     ("queries-jsonl", "blank text", '{"query_id": "q2", "text": " \\t "}'),
     ("queries-tsv", "too few columns", "q2"),
