@@ -91,7 +91,13 @@ def validate_generation(text: str, kind: str, n: int) -> tuple[bool, list[str]]:
 
 
 class _WindowLog(Judge):
-    """Judges with ``inner``, keeping each window's prompt and verdict (``None`` if it raised)."""
+    """Judges with ``inner``, keeping each window's prompt and verdict (``None`` if it raised).
+
+    The prompt is kept here, not on ``WindowRecord``: there every ``rerank``
+    and ``select`` outcome waiting in ``run_batch`` (up to 32 per worker)
+    would hold 100-150 kchars of prompt text. Tried that way, peak RSS of one
+    endpoint-stub benchmark run (2 cores) rose from 32.9 to 34.1 MB.
+    """
 
     def __init__(self, inner: Judge):
         self.inner = inner

@@ -415,8 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--profile",
         required=True,
-        help="fresh passages selected per window: never, always, bernoulli:P, a JSON "
-        "histogram path, or a select trace.jsonl",
+        help="fresh passages selected per window: never, always, bernoulli:P, or a "
+        "select trace.jsonl (counts drawn per window index)",
     )
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)

@@ -187,7 +187,7 @@ def _id_text_records(path: Path, id_field: str) -> Iterator[tuple[int, str, str,
             if "text" not in rec:
                 raise LoadError(f"{path}: missing text field at line {lineno}")
             text, title = rec["text"], rec.get("title")
-            if not isinstance(rid, (str, int)) or isinstance(rid, bool):
+            if not _is_id(rid):
                 raise LoadError(f"{path}: {id_field} is not a string or integer at line {lineno}")
             if not isinstance(text, str) or not isinstance(title, (str, type(None))):
                 raise LoadError(f"{path}: text or title is not a string at line {lineno}")
@@ -327,6 +327,8 @@ def load_query_field(path: str | Path, field: str, convert: Callable[[Any], T]) 
         qid, value = rec.get("query_id"), rec.get(field)
         if qid is None or value is None:
             raise LoadError(f"{path}: missing query_id or {field} at line {lineno}")
+        if not _is_id(qid):
+            raise LoadError(f"{path}: query_id is not a string or integer at line {lineno}")
         qid = str(qid)
         if qid in out:
             raise LoadError(f"{path}: duplicate query {qid} at line {lineno}")
@@ -337,10 +339,24 @@ def load_query_field(path: str | Path, field: str, convert: Callable[[Any], T]) 
     return out
 
 
-def _string_list(value: Any) -> list[str]:
-    if not isinstance(value, list) or not value:
-        raise ValueError("must be a non-empty list")
+def _is_id(value: Any) -> bool:
+    """Whether a JSON value may be an id: a string or an integer, not a boolean."""
+    return isinstance(value, (str, int)) and not isinstance(value, bool)
+
+
+def id_list(value: Any) -> list[str]:
+    """A JSON list of strings and integers, as strings; anything else is a ``ValueError``."""
+    if not isinstance(value, list):
+        raise ValueError("must be a list")
+    if not all(map(_is_id, value)):
+        raise ValueError("has an entry that is not a string or integer")
     return [str(v) for v in value]
+
+
+def _string_list(value: Any) -> list[str]:
+    if value == []:
+        raise ValueError("must be a non-empty list")
+    return id_list(value)
 
 
 def load_answers(path: str | Path) -> dict[str, list[str]]:

@@ -9,7 +9,6 @@ from a profile. The ranking engine's cost is fixed by geometry alone.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from collections import Counter
@@ -19,101 +18,41 @@ from pathlib import Path
 from .corpus import LoadError, jsonl_records
 from .windowing import WindowConfig, plan_ranking_windows, window_count_bounds
 
-_SUM_TOLERANCE = 1e-9
-
 
 @dataclass(frozen=True)
 class SelectionProfile:
     """Distribution over the count of fresh passages selected per window.
 
-    ``bernoulli`` selects each fresh passage independently with probability
-    p. ``histogram`` draws a count from an empirical histogram, clamped to
-    the window's fresh count.
+    With ``by_window`` empty, each fresh passage is selected independently
+    with probability ``p``. Otherwise window ``i`` draws a count uniformly
+    from ``by_window[i]``, the counts observed at that window index (the last
+    entry past its end), clamped to the window's fresh count.
     """
 
-    kind: str
-    p: float | None = None
-    histogram: tuple[tuple[int, float], ...] | None = None
+    p: float = 0.0
+    by_window: tuple[tuple[int, ...], ...] = ()
 
     @staticmethod
     def bernoulli(p: float) -> "SelectionProfile":
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"bernoulli probability must be in [0, 1], got {p}")
-        return SelectionProfile(kind="bernoulli", p=p)
+        return SelectionProfile(p=p)
 
-    @staticmethod
-    def from_histogram(counts: dict[int, float]) -> "SelectionProfile":
-        if not counts:
-            raise ValueError("histogram profile needs at least one entry")
-        total = sum(counts.values())
-        if abs(total - 1.0) > _SUM_TOLERANCE:
-            raise ValueError(f"histogram probabilities sum to {total}, expected 1")
-        if any(c < 0 for c in counts) or any(p < 0 for p in counts.values()):
-            raise ValueError("histogram counts and probabilities must be non-negative")
-        return SelectionProfile(kind="histogram", histogram=tuple(sorted(counts.items())))
-
-    def max_support(self) -> int | None:
-        if self.kind == "histogram" and self.histogram:
-            return max(c for c, p in self.histogram if p > 0)
-        return None
-
-    def draw(self, rng: random.Random, fresh: int) -> int:
-        if self.kind == "bernoulli":
-            return sum(1 for _ in range(fresh) if rng.random() < (self.p or 0.0))
-        if self.kind == "histogram":
-            r = rng.random()
-            acc = 0.0
-            count = 0
-            for count, prob in self.histogram or ():
-                acc += prob
-                if r < acc:
-                    break
-            return min(count, fresh)
-        raise ValueError(f"unknown profile kind {self.kind!r}")
-
-
-def load_profile(path: str | Path) -> SelectionProfile:
-    """Load an empirical profile: JSON ``{"counts": {"0": p0, "1": p1, ...}}``.
-
-    Raises:
-        LoadError: naming the file, when it is not JSON, has no ``counts``
-            object, maps a key that is not an integer or a value that is not
-            a finite number, or is not a valid histogram.
-    """
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # not UTF-8 or not JSON
-        raise LoadError(f"{path}: profile file is not JSON: {exc}") from exc
-    counts = data.get("counts") if isinstance(data, dict) else None
-    if not isinstance(counts, dict):
-        raise LoadError(f"{path}: profile file needs a JSON object with a 'counts' object")
-    histogram: dict[int, float] = {}
-    for key, value in counts.items():
-        try:
-            count, prob = int(key), float(value)
-            if not math.isfinite(prob):
-                raise ValueError(prob)
-        except (TypeError, ValueError):
-            raise LoadError(
-                f"{path}: counts entry {key!r}: {value!r} needs an integer key and a "
-                "finite number"
-            ) from None
-        histogram[count] = prob
-    try:
-        return SelectionProfile.from_histogram(histogram)
-    except ValueError as exc:
-        raise LoadError(f"{path}: {exc}") from exc
+    def draw(self, rng: random.Random, window: int, fresh: int) -> int:
+        if self.by_window:
+            return min(rng.choice(self.by_window[min(window, len(self.by_window) - 1)]), fresh)
+        return sum(1 for _ in range(fresh) if rng.random() < self.p)
 
 
 def profile_from_trace(path: str | Path, depth: int) -> tuple[SelectionProfile, float]:
-    """Measure a histogram profile from a ``select`` trace.
+    """Measure a per-window-index profile from a ``select`` trace.
 
-    Each window counts the ids it selected after its carried ones. Only
-    queries whose windows hold ``depth`` fresh candidates count, so partial
-    traces of aborted queries are left out. Returns the profile and the mean
-    window count of those queries. A record that is not a selection window,
-    or a trace in which no query saw ``depth`` candidates, is a ``LoadError``.
+    Each window counts the ids it selected after its carried ones; the counts
+    are grouped by the window's index within its query. Only queries whose
+    windows hold ``depth`` fresh candidates count, so partial traces of
+    aborted queries are left out. Returns the profile and the mean window
+    count of those queries. A record that is not a selection window, or a
+    trace in which no query saw ``depth`` candidates, is a ``LoadError``.
     """
     path = Path(path)
     picked: dict[str, list[int]] = {}  # query id -> fresh ids selected per window
@@ -128,25 +67,27 @@ def profile_from_trace(path: str | Path, depth: int) -> tuple[SelectionProfile, 
     complete = [counts for qid, counts in picked.items() if seen[qid] == depth]
     if not complete:
         raise LoadError(f"{path}: no query in the trace saw --depth {depth} candidates")
-    histogram = Counter(n for counts in complete for n in counts)
-    windows = sum(histogram.values())
-    profile = SelectionProfile.from_histogram({n: k / windows for n, k in histogram.items()})
-    return profile, windows / len(complete)
+    by_window = tuple(
+        tuple(sorted(counts[i] for counts in complete if i < len(counts)))
+        for i in range(max(map(len, complete)))
+    )
+    return SelectionProfile(by_window=by_window), sum(map(len, complete)) / len(complete)
 
 
 def parse_profile_spec(spec: str, depth: int) -> tuple[SelectionProfile, float | None]:
-    """Parse a CLI profile spec: never, always, bernoulli:P, a JSON histogram
-    path, or a ``select`` trace path ending in ``.jsonl``.
+    """Parse a CLI profile spec: never, always, bernoulli:P, or a ``select``
+    trace path.
 
-    ``never`` is ``bernoulli:0`` and ``always`` is ``bernoulli:1``. Returns
-    the profile and, for a trace, the mean window count it observed.
+    ``never`` is ``bernoulli:0`` and ``always`` is ``bernoulli:1``. Any
+    existing file is read as a trace. Returns the profile and, for a trace,
+    the mean window count it observed.
 
     Raises:
         ValueError: naming the spec and the accepted forms, for a bernoulli
             probability that is not a number in [0, 1] and for a spec that
             is none of the named forms and no existing file.
-        LoadError: from ``load_profile`` or ``profile_from_trace``, for a
-            file that is not a profile.
+        LoadError: from ``profile_from_trace``, for a file that is not a
+            ``select`` trace.
     """
     form = {"never": "bernoulli:0", "always": "bernoulli:1"}.get(spec, spec)
     if form.startswith("bernoulli:"):
@@ -155,12 +96,10 @@ def parse_profile_spec(spec: str, depth: int) -> tuple[SelectionProfile, float |
         except ValueError:
             pass
     elif Path(spec).is_file():
-        if spec.endswith(".jsonl"):
-            return profile_from_trace(spec, depth)
-        return load_profile(spec), None
+        return profile_from_trace(spec, depth)
     raise ValueError(
         f"--profile {spec!r} is not one of: never, always, bernoulli:P with 0 <= P <= 1, "
-        "a JSON profile file, or a select trace.jsonl"
+        "or a select trace.jsonl"
     )
 
 
@@ -202,7 +141,7 @@ def _one_trial(cfg: WindowConfig, profile: SelectionProfile, rng: random.Random)
     windows = 0
     while remaining > 0:
         fresh = min(cfg.window_size - min(cfg.stride, queue_len), remaining)
-        queue_len += profile.draw(rng, fresh)
+        queue_len += profile.draw(rng, windows, fresh)
         remaining -= fresh
         windows += 1
     return windows
@@ -218,11 +157,6 @@ def simulate(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    support = profile.max_support()
-    if support is not None and support > cfg.window_size:
-        raise ValueError(
-            f"profile support reaches {support}, beyond window_size {cfg.window_size}"
-        )
     rng = random.Random(seed)
     counts: Counter[int] = Counter()
     for _ in range(trials):

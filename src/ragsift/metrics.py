@@ -192,7 +192,13 @@ def mean_in_order(values: Collection[float]) -> float:
 
 def load_predictions(path: str | Path) -> dict[str, str]:
     """Load answer predictions: JSONL ``{query_id, answer}``, one per query."""
-    return load_query_field(path, "answer", str)
+    return load_query_field(path, "answer", _answer_text)
+
+
+def _answer_text(value: object) -> str:
+    if not isinstance(value, str):
+        raise ValueError("is not a string")
+    return value
 
 
 @dataclass

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import Passage, Query, load_query_field
+from .corpus import Passage, Query, id_list, load_query_field
 from .judge import Judge, JudgeTransportError, JudgeVerdict, judge_window
 from .prompting import PromptBudget, PromptTemplate, RenderedPrompt, default_templates, render
 
@@ -346,10 +346,4 @@ def selection_line(query_id: str, result: SelectionResult) -> str:
 
 def read_selection_file(path: str | Path) -> dict[str, list[str]]:
     """Read a selection JSONL back into query_id -> selected doc ids."""
-    return load_query_field(path, "selected", _doc_id_list)
-
-
-def _doc_id_list(value: object) -> list[str]:
-    if not isinstance(value, list):
-        raise ValueError("must be a list")
-    return [str(d) for d in value]
+    return load_query_field(path, "selected", id_list)

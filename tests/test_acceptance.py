@@ -41,7 +41,14 @@ from ragsift.windowing import (
     select,
     window_count_bounds,
 )
-from tests.conftest import QUERY, FuzzJudge, make_passages, make_qrels, random_unicode
+from tests.conftest import (
+    QUERY,
+    FuzzJudge,
+    make_passages,
+    make_qrels,
+    random_profile,
+    random_unicode,
+)
 from tests.test_metrics import brute_force_ndcg
 
 
@@ -77,12 +84,7 @@ def test_criterion_2_selection_cost_bounds():
         if kind < 0.4:
             profile = SelectionProfile.bernoulli(rng.random())
         else:
-            support = rng.sample(range(0, cfg.window_size + 1), rng.randint(1, 6))
-            weights = [rng.random() for _ in support]
-            total = sum(weights)
-            profile = SelectionProfile.from_histogram(
-                {c: w / total for c, w in zip(support, weights)}
-            )
+            profile = random_profile(rng, cfg.window_size)
         report = simulate(cfg, profile, trials=500, seed=rng.randint(0, 10_000))
         assert all(lo <= count <= hi for count in report.histogram)
         trials_done += report.trials

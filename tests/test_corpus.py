@@ -224,6 +224,10 @@ class TestGoldFiles:
         with pytest.raises(LoadError, match="non-empty"):
             load_answers(path)
 
+    def test_integer_ids_accepted(self, tmp_path):
+        path = _write(tmp_path, "a.jsonl", '{"query_id": 7, "answers": ["x", 1984]}\n')
+        assert load_answers(path) == {"7": ["x", "1984"]}
+
     def test_evidence(self, tmp_path):
         path = _write(tmp_path, "e.jsonl", '{"query_id": "q1", "evidence": ["d1", "d2"]}\n')
         assert load_evidence(path) == {"q1": {"d1", "d2"}}
@@ -312,6 +316,18 @@ MALFORMED_LINES = [
     ("selection", "missing field", '{"query_id": "q2"}'),
     ("selection", "not a list", '{"query_id": "q2", "selected": "d1"}'),
     ("selection", "duplicate", '{"query_id": "q1", "selected": []}'),
+    # gold and selection values are ids or text, never stringified JSON
+    ("answers", "boolean id", '{"query_id": true, "answers": ["y"]}'),
+    ("answers", "null answer", '{"query_id": "q2", "answers": [null, 3.0]}'),
+    ("answers", "float answer", '{"query_id": "q2", "answers": ["y", 3.0]}'),
+    ("answers", "not a list", '{"query_id": "q2", "answers": "y"}'),
+    ("evidence", "float id", '{"query_id": 2.5, "evidence": ["d2"]}'),
+    ("evidence", "boolean doc id", '{"query_id": "q2", "evidence": [false]}'),
+    ("predictions", "list id", '{"query_id": ["q2"], "answer": "y"}'),
+    ("predictions", "number answer", '{"query_id": "q2", "answer": 3}'),
+    ("predictions", "list answer", '{"query_id": "q2", "answer": ["y"]}'),
+    ("selection", "null doc id", '{"query_id": "q2", "selected": [null, {"a": 1}]}'),
+    ("selection", "object doc id", '{"query_id": "q2", "selected": ["d1", {"a": 1}]}'),
     ("transcript", "bad JSON", "not json"),
     ("transcript", "missing field", '{"prompt_sha256": "cd"}'),
     # a byte that is not UTF-8 (Latin-1 e-acute)

@@ -2,13 +2,13 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
 from ragsift.corpus import LoadError, Query
 from ragsift.costsim import (
     SelectionProfile,
-    load_profile,
     parse_profile_spec,
     profile_from_trace,
     ranking_cost,
@@ -16,37 +16,34 @@ from ragsift.costsim import (
 )
 from ragsift.judge import OracleJudge
 from ragsift.windowing import WindowConfig, select, trace_lines, window_count_bounds
-from tests.conftest import make_passages, make_qrels
+from tests.conftest import make_passages, make_qrels, random_profile
 
 
 CFG = WindowConfig(100, 20, 10)
 
 
 class TestProfiles:
-    def test_histogram_must_sum_to_one(self):
-        with pytest.raises(ValueError, match="sum"):
-            SelectionProfile.from_histogram({0: 0.5, 1: 0.4})
-
     def test_bernoulli_probability_range(self):
         with pytest.raises(ValueError):
             SelectionProfile.bernoulli(1.5)
 
-    def test_support_beyond_window_rejected_at_simulate(self):
-        profile = SelectionProfile.from_histogram({25: 1.0})
-        with pytest.raises(ValueError, match="support"):
-            simulate(CFG, profile, trials=10, seed=0)
+    def test_window_past_the_deepest_index_uses_the_last(self):
+        # window 0 selects none and every later window 3, so the carry grows 0, 3,
+        # 6, 9 and saturates after window 4: 7 windows (6 if later windows drew 0)
+        profile = SelectionProfile(by_window=((0,), (3,)))
+        assert simulate(CFG, profile, trials=100, seed=0).histogram == {7: 100}
+        # a count above the window's fresh count is clamped to it
+        assert SelectionProfile(by_window=((25,),)).draw(random.Random(0), 7, 10) == 10
 
-    def test_load_profile_file(self, tmp_path):
-        path = tmp_path / "hist.json"
-        path.write_text(json.dumps({"counts": {"0": 0.25, "3": 0.75}}), encoding="utf-8")
-        profile = load_profile(path)
-        assert profile.kind == "histogram"
-        assert profile.max_support() == 3
-
-    def test_parse_profile_specs(self):
+    def test_parse_profile_specs(self, tmp_path):
         assert parse_profile_spec("never", 100) == (SelectionProfile.bernoulli(0.0), None)
         assert parse_profile_spec("always", 100) == (SelectionProfile.bernoulli(1.0), None)
         assert parse_profile_spec("bernoulli:0.3", 100) == (SelectionProfile.bernoulli(0.3), None)
+        # any existing file is read as a select trace, whatever its suffix
+        path = tmp_path / "hist.json"
+        path.write_text('{"counts": {"0": 1.0}}\n', encoding="utf-8")
+        with pytest.raises(LoadError, match="line 1 is not a selection window"):
+            parse_profile_spec(str(path), 100)
 
 
 class TestSimulate:
@@ -63,7 +60,7 @@ class TestSimulate:
 
     def test_saturated_queue_after_first_window_pins_max(self):
         # at least the stride selected every window: carry saturates immediately
-        profile = SelectionProfile.from_histogram({10: 0.5, 15: 0.5})
+        profile = SelectionProfile(by_window=((10, 15),))
         report = simulate(CFG, profile, trials=300, seed=3)
         assert report.histogram == {9: 300}
 
@@ -77,12 +74,7 @@ class TestSimulate:
         rng = random.Random(13)
         lo, hi = window_count_bounds(CFG)
         for _ in range(10):
-            support = rng.sample(range(0, 21), rng.randint(1, 5))
-            weights = [rng.random() for _ in support]
-            total = sum(weights)
-            profile = SelectionProfile.from_histogram(
-                {c: w / total for c, w in zip(support, weights)}
-            )
+            profile = random_profile(rng, CFG.window_size)
             report = simulate(CFG, profile, trials=300, seed=rng.randint(0, 999))
             assert all(lo <= c <= hi for c in report.histogram)
 
@@ -98,27 +90,50 @@ class TestSimulate:
         assert report.ci95[0] <= report.mean_windows <= report.ci95[1]
 
 
-@pytest.fixture(scope="module")
-def oracle_trace(tmp_path_factory):
-    """An oracle ``select`` trace of 300 queries at CFG, each passage relevant with p 0.04."""
-    rng = random.Random(17)
+def write_oracle_trace(path, seed: int, relevance: float):
+    """Write an oracle ``select`` trace of 300 queries at CFG, each passage relevant
+    with probability ``relevance``."""
+    rng = random.Random(seed)
     passages = make_passages(CFG.depth)
-    path = tmp_path_factory.mktemp("trace") / "trace.jsonl"
     with path.open("w", encoding="utf-8") as fh:
         for i in range(300):
             qid = f"q{i}"
-            qrels = make_qrels(qid, {p.doc_id: 1 for p in passages if rng.random() < 0.04})
+            qrels = make_qrels(qid, {p.doc_id: 1 for p in passages if rng.random() < relevance})
             result = select(Query(qid, "what is it"), passages, OracleJudge(qrels), CFG)
             fh.write(trace_lines(result.trace))
     return path
 
 
+@pytest.fixture(scope="module")
+def oracle_trace(tmp_path_factory):
+    return write_oracle_trace(tmp_path_factory.mktemp("trace") / "trace.jsonl", 17, 0.04)
+
+
 class TestProfileFromTrace:
     def test_prediction_within_five_percent_of_observed(self, oracle_trace):
         profile, observed = profile_from_trace(oracle_trace, CFG.depth)
-        assert profile.kind == "histogram"
+        assert profile.by_window
         report = simulate(CFG, profile, trials=5000, seed=0)
         assert abs(report.mean_windows / observed - 1) < 0.05
+
+    def test_counts_are_kept_per_window_index(self, oracle_trace):
+        profile, observed = profile_from_trace(oracle_trace, CFG.depth)
+        # every query has a first window; only the longest reach the deepest index
+        assert len(profile.by_window[0]) == 300
+        lines = oracle_trace.read_text(encoding="utf-8").splitlines()
+        windows = Counter(json.loads(line)["query_id"] for line in lines)
+        assert len(profile.by_window) == max(windows.values())
+        assert sum(map(len, profile.by_window)) / 300 == observed
+
+    def test_fit_on_one_trace_predicts_another(self, tmp_path):
+        # the first window draws from 20 fresh slots and later ones from 10, so a
+        # single histogram pooled over every window predicts too few windows
+        fit = write_oracle_trace(tmp_path / "fit.jsonl", 17, 0.08)
+        held_out = write_oracle_trace(tmp_path / "held_out.jsonl", 18, 0.08)
+        profile, _ = profile_from_trace(fit, CFG.depth)
+        _, observed = profile_from_trace(held_out, CFG.depth)
+        report = simulate(CFG, profile, trials=5000, seed=0)
+        assert abs(report.mean_windows / observed - 1) < 0.015
 
     def test_no_query_at_depth_is_refused(self, oracle_trace):
         with pytest.raises(LoadError, match="no query in the trace saw --depth 50"):
