@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import LoadError, jsonl_records
+from .corpus import LoadError, id_list, jsonl_records
 from .windowing import WindowConfig, plan_ranking_windows, window_count_bounds
 
 
@@ -51,18 +51,23 @@ def profile_from_trace(path: str | Path, depth: int) -> tuple[SelectionProfile, 
     are grouped by the window's index within its query. Only queries whose
     windows hold ``depth`` fresh candidates count, so partial traces of
     aborted queries are left out. Returns the profile and the mean window
-    count of those queries. A record that is not a selection window, or a
-    trace in which no query saw ``depth`` candidates, is a ``LoadError``.
+    count of those queries. A record that is not a selection window (its
+    ``carried`` and ``fresh`` lists of ids, its ``verdict.selected`` a list
+    of integers), or a trace in which no query saw ``depth`` candidates, is
+    a ``LoadError``.
     """
     path = Path(path)
     picked: dict[str, list[int]] = {}  # query id -> fresh ids selected per window
     seen: Counter[str] = Counter()  # query id -> fresh candidates judged
     for lineno, rec in jsonl_records(path):
         try:
-            carried, selected = len(rec["carried"]), rec["verdict"]["selected"]
-            picked.setdefault(rec["query_id"], []).append(sum(i > carried for i in selected))
-            seen[rec["query_id"]] += len(rec["fresh"])
-        except (KeyError, TypeError):
+            carried, fresh = id_list(rec["carried"]), id_list(rec["fresh"])
+            selected = rec["verdict"]["selected"]
+            if not isinstance(selected, list) or not all(type(i) is int for i in selected):
+                raise ValueError("selected must be a list of integers")
+            picked.setdefault(rec["query_id"], []).append(sum(i > len(carried) for i in selected))
+            seen[rec["query_id"]] += len(fresh)
+        except (KeyError, TypeError, ValueError):
             raise LoadError(f"{path}: line {lineno} is not a selection window") from None
     complete = [counts for qid, counts in picked.items() if seen[qid] == depth]
     if not complete:

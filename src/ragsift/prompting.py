@@ -165,9 +165,6 @@ class RenderedPrompt:
     def full_text(self) -> str:
         return self.system + "\n\n" + self.user
 
-    def char_count(self) -> int:
-        return len(self.system) + 2 + len(self.user)
-
 
 # matches up to and including the last whitespace before ``endpos``
 _THROUGH_LAST_WHITESPACE = re.compile(r".*\s", re.DOTALL)

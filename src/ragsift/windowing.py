@@ -22,12 +22,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
 from pathlib import Path
 from typing import Sequence
 
 from .corpus import Passage, Query, id_list, load_query_field
 from .judge import Judge, JudgeTransportError, JudgeVerdict, judge_window
-from .prompting import PromptBudget, PromptTemplate, RenderedPrompt, default_templates, render
+from .prompting import PromptBudget, PromptTemplate, default_templates, render
 
 
 @dataclass(frozen=True)
@@ -52,11 +53,11 @@ class WindowConfig:
 class WindowRecord:
     """One judged window: what was carried in, what was fresh, and the outcome.
 
-    ``queue_after`` is the selection queue state after the window (selection
+    A record's window index is its position in ``WindowTrace.windows``.
+    ``queue_after`` is the selection queue after the window (selection
     engine); ``window_after`` is the permuted window slice (ranking engine).
     """
 
-    window_index: int
     carried: tuple[str, ...]
     fresh: tuple[str, ...]
     verdict: JudgeVerdict
@@ -66,19 +67,10 @@ class WindowRecord:
 
 @dataclass
 class WindowTrace:
-    """Per-query audit trail plus the cost counters behind run reports."""
+    """Per-query audit trail: the judged windows, in order."""
 
     query_id: str
     windows: list[WindowRecord]
-    prompt_char_count: int = 0
-
-    @property
-    def window_count(self) -> int:
-        return len(self.windows)
-
-    def record(self, rec: WindowRecord, prompt: RenderedPrompt) -> None:
-        self.windows.append(rec)
-        self.prompt_char_count += prompt.char_count()
 
 
 class QueryFailure(RuntimeError):
@@ -87,7 +79,7 @@ class QueryFailure(RuntimeError):
     def __init__(self, error: str, partial_trace: WindowTrace):
         super().__init__(
             f"query {partial_trace.query_id} aborted at window "
-            f"{partial_trace.window_count}: {error}"
+            f"{len(partial_trace.windows)}: {error}"
         )
         self.error = error
         self.partial_trace = partial_trace
@@ -95,39 +87,6 @@ class QueryFailure(RuntimeError):
     @property
     def query_id(self) -> str:
         return self.partial_trace.query_id
-
-
-class PreselectedQueue:
-    """Ordered, duplicate-free pool of doc ids judged useful so far.
-
-    Selections are prepended as a block in the judge's emission order;
-    duplicates keep the newest-block occurrence and later ones are dropped.
-    Membership is monotone: prepending never removes anything, so a passage
-    once selected stays selected for the rest of the run.
-    """
-
-    __slots__ = ("_ids",)
-
-    def __init__(self, ids: Sequence[str] = ()):
-        self._ids = list(dict.fromkeys(ids))
-
-    def prepend(self, selected: Sequence[str]) -> None:
-        self._ids = list(dict.fromkeys(list(selected) + self._ids))
-
-    def head(self, count: int) -> list[str]:
-        return self._ids[:count]
-
-    def to_list(self) -> list[str]:
-        return list(self._ids)
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def __iter__(self):
-        return iter(self._ids)
-
-    def __repr__(self) -> str:
-        return f"PreselectedQueue({self._ids!r})"
 
 
 def plan_ranking_windows(cfg: WindowConfig) -> list[tuple[int, int]]:
@@ -173,7 +132,6 @@ class RerankResult:
 @dataclass
 class SelectionResult:
     selected_ids: list[str]
-    pseudo_answers: list[str | None]
     trace: WindowTrace
 
 
@@ -205,7 +163,7 @@ def rerank(
     trace = WindowTrace(query_id=query.query_id, windows=[])
 
     prev_start: int | None = None
-    for idx, (start, end) in enumerate(plan_ranking_windows(cfg)):
+    for start, end in plan_ranking_windows(cfg):
         window = order[start:end]
         prompt = render(ranking_template, query, window, budget)
         try:
@@ -217,15 +175,13 @@ def rerank(
 
         ids = prompt.doc_ids
         fresh_count = (end if prev_start is None else prev_start) - start
-        trace.record(
+        trace.windows.append(
             WindowRecord(
-                window_index=idx,
                 carried=ids[fresh_count:],
                 fresh=ids[:fresh_count],
                 verdict=verdict,
                 window_after=tuple([ids[i - 1] for i in permutation]),
-            ),
-            prompt,
+            )
         )
         prev_start = start
 
@@ -248,24 +204,22 @@ def select(
     membership is monotone, so a passage once selected is never dropped.
     Each later window carries the first ``min(stride, len(queue))`` queue
     members and fills up with the next unprocessed candidates, in their
-    original order, until all candidates have been processed.
+    original order, until all candidates have been processed. The final
+    queue is ``selected_ids``; each window's pseudo answer is on its verdict.
     """
     if not candidates:
         raise ValueError("select needs at least one candidate")
     selection_template = (templates or default_templates())[1]
+    # re-checks stride < window_size for the actual candidate count
     cfg = _per_query_cfg(cfg, len(candidates))
-    chosen: dict[str, Passage] = {}  # the passages selected so far, the only ones carried
-
-    queue = PreselectedQueue()
-    pseudo_answers: list[str | None] = []
+    queue: dict[str, Passage] = {}  # doc id -> passage selected so far, newest block first
     trace = WindowTrace(query_id=query.query_id, windows=[])
 
     pos = 0
-    idx = 0
     while pos < len(candidates):
-        carried_ids = queue.head(min(cfg.stride, len(queue)))
-        fresh = list(candidates[pos : pos + cfg.window_size - len(carried_ids)])
-        window = [chosen[d] for d in carried_ids] + fresh
+        carried = list(islice(queue.values(), cfg.stride))
+        fresh = candidates[pos : pos + cfg.window_size - len(carried)]
+        window = [*carried, *fresh]
 
         prompt = render(selection_template, query, window, budget)
         try:
@@ -273,27 +227,22 @@ def select(
         except JudgeTransportError as exc:
             raise QueryFailure(str(exc), trace) from exc
 
-        picked = [window[i - 1] for i in verdict.selected or ()]
-        chosen.update((p.doc_id, p) for p in picked)
-        queue.prepend([p.doc_id for p in picked])
-        pseudo_answers.append(verdict.pseudo_answer)
+        picked = {window[i - 1].doc_id: window[i - 1] for i in verdict.selected or ()}
+        picked.update(queue)
+        queue = picked
 
-        trace.record(
+        ids = prompt.doc_ids
+        trace.windows.append(
             WindowRecord(
-                window_index=idx,
-                carried=tuple(carried_ids),
-                fresh=prompt.doc_ids[len(carried_ids) :],
+                carried=ids[: len(carried)],
+                fresh=ids[len(carried) :],
                 verdict=verdict,
                 queue_after=tuple(queue),
-            ),
-            prompt,
+            )
         )
         pos += len(fresh)
-        idx += 1
 
-    return SelectionResult(
-        selected_ids=queue.to_list(), pseudo_answers=pseudo_answers, trace=trace
-    )
+    return SelectionResult(selected_ids=list(queue), trace=trace)
 
 
 def cut(ranked_ids: Sequence[str], k: int) -> list[str]:
@@ -306,11 +255,11 @@ def cut(ranked_ids: Sequence[str], k: int) -> list[str]:
 def trace_lines(trace: WindowTrace) -> str:
     """One query's audit trail: one JSONL window record per line."""
     lines = []
-    for rec in trace.windows:
+    for index, rec in enumerate(trace.windows):
         v = rec.verdict
         record = {
             "query_id": trace.query_id,
-            "window_index": rec.window_index,
+            "window_index": index,
             "carried": list(rec.carried),
             "fresh": list(rec.fresh),
             "verdict": {
@@ -335,8 +284,8 @@ def selection_line(query_id: str, result: SelectionResult) -> str:
             {
                 "query_id": query_id,
                 "selected": result.selected_ids,
-                "pseudo_answers": result.pseudo_answers,
-                "windows": result.trace.window_count,
+                "pseudo_answers": [rec.verdict.pseudo_answer for rec in result.trace.windows],
+                "windows": len(result.trace.windows),
             },
             ensure_ascii=False,
         )

@@ -908,7 +908,6 @@ PUBLIC_SURFACE = [
     "MetricsReport",
     "OracleJudge",
     "Passage",
-    "PreselectedQueue",
     "PromptBudget",
     "PromptTemplate",
     "Qrels",

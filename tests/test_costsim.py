@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -138,6 +139,37 @@ class TestProfileFromTrace:
     def test_no_query_at_depth_is_refused(self, oracle_trace):
         with pytest.raises(LoadError, match="no query in the trace saw --depth 50"):
             profile_from_trace(oracle_trace, 50)
+
+    def test_ids_of_either_json_type_load(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        window = {"query_id": "q", "carried": [], "fresh": [1, "b", 3, "d"]}
+        path.write_text(json.dumps({**window, "verdict": {"selected": [1, 3]}}) + "\n")
+        assert profile_from_trace(path, 4) == (SelectionProfile(by_window=((2,),)), 1.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("selected", [True, 2.5]),
+            ("selected", [True]),
+            ("selected", [2.5]),
+            ("selected", ["1"]),
+            ("selected", "12"),
+            ("selected", None),
+            ("carried", "xyz"),
+            ("carried", [None]),
+            ("fresh", "abcd"),
+            ("fresh", [1.5, 2, 3, 4]),
+            ("fresh", {"a": 1, "b": 2, "c": 3, "d": 4}),
+        ],
+    )
+    def test_field_of_the_wrong_type_is_refused(self, tmp_path, field, value):
+        window = {"query_id": "q", "carried": [], "fresh": ["a", "b", "c", "d"], "selected": [1]}
+        window[field] = value
+        window["verdict"] = {"selected": window.pop("selected")}
+        path = tmp_path / "trace.jsonl"
+        path.write_text(json.dumps(window) + "\n")
+        with pytest.raises(LoadError, match=re.escape(f"{path}: line 1 is not a selection window")):
+            profile_from_trace(path, 4)
 
 
 class TestRankingCost:

@@ -142,8 +142,8 @@ class TestRender:
         long_window = [Passage(f"d{i}", "lorem ipsum " * 400) for i in range(n)]
         tiny_window = [Passage(f"d{i}", "x") for i in range(n)]
         rendered = render(ranking, QUERY, long_window, budget)
-        fixed = render(ranking, QUERY, tiny_window, budget).char_count() - n
-        assert rendered.char_count() <= fixed + n * 200
+        fixed = len(render(ranking, QUERY, tiny_window, budget).full_text()) - n
+        assert len(rendered.full_text()) <= fixed + n * 200
 
 
     @settings(max_examples=300, deadline=None)
@@ -205,7 +205,6 @@ class TestTruncation:
             budget = PromptBudget(per_passage_tokens=tokens)
             prompt = render(ranking, QUERY, [Passage("d1", text)], budget)
             assert prompt.user.startswith(f"[1] {out}\n\n")
-            assert prompt.char_count() == len(prompt.full_text())
 
 
 class TestTemplates:

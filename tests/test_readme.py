@@ -1,4 +1,5 @@
-"""The README's quick start runs as written, so that a changed option shows here."""
+"""The README's quick start and library snippets run as written, so that a
+changed option or name shows here."""
 
 from __future__ import annotations
 
@@ -31,3 +32,22 @@ def test_quick_start_commands_exit_0(mini_dir, tmp_path, monkeypatch, capsys):
     for command in commands:
         argv = shlex.split(command.replace("$MINI", str(mini_dir)))
         assert main(argv[1:]) == 0, (command, capsys.readouterr().err)
+
+
+def library_use_blocks() -> list[str]:
+    """The ``python`` blocks of the "Library use" section, in order."""
+    text = README.read_text(encoding="utf-8")
+    start = text.index("## Library use")
+    section = text[start : text.index("\n## ", start)]
+    return re.findall(r"```python\n(.*?)```", section, re.DOTALL)
+
+
+def test_library_use_blocks_run(mini_dir, monkeypatch, capsys):
+    blocks = library_use_blocks()
+    assert blocks
+    # the snippets name the mini dataset's files, and later blocks use earlier names
+    monkeypatch.chdir(mini_dir)
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
+    assert capsys.readouterr().out

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -7,14 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ragsift.corpus import Query
-from ragsift.judge import RANKING, SELECTION, Judge, OracleJudge, verdict_from_text
+from ragsift.judge import (
+    RANKING,
+    SELECTION,
+    Judge,
+    JudgeVerdict,
+    OracleJudge,
+    canonical_selection_text,
+    verdict_from_text,
+)
 from ragsift.windowing import (
-    PreselectedQueue,
     WindowConfig,
     cut,
     plan_ranking_windows,
     rerank,
     select,
+    selection_line,
+    trace_lines,
     window_count_bounds,
 )
 from tests.conftest import (
@@ -83,7 +93,7 @@ class TestRerank:
         passages, qrels = _grades_qrels([0, 0, 0, 0, 0, 0, 0, 3])
         result = rerank(QUERY, passages, OracleJudge(qrels), WindowConfig(8, 4, 2))
         assert result.ranked_ids[0] == "d8"
-        assert result.trace.window_count == 3
+        assert len(result.trace.windows) == 3
 
     def test_output_is_permutation_of_input(self):
         passages, qrels = _grades_qrels([1, 0, 2, 0, 3, 1, 0, 2, 1, 0])
@@ -122,7 +132,7 @@ class TestRerank:
         passages, qrels = _grades_qrels([0] * 20)
         cfg = WindowConfig(20, 6, 3)
         result = rerank(QUERY, passages, OracleJudge(qrels), cfg)
-        assert result.trace.window_count == len(plan_ranking_windows(cfg))
+        assert len(result.trace.windows) == len(plan_ranking_windows(cfg))
 
 
 class OtherKindJudge(Judge):
@@ -142,18 +152,43 @@ def test_verdict_of_the_other_kind_is_refused(engine, asked, answered):
         engine(QUERY, make_passages(5), OtherKindJudge(), cfg)
 
 
+class CallLimitJudge(Judge):
+    """Delegates to ``inner``, counting calls; fails past ``limit`` calls instead of looping."""
+
+    def __init__(self, inner: Judge, limit: int = 100):
+        self.inner = inner
+        self.limit = limit
+        self.calls = 0
+
+    def judge(self, prompt):
+        self.calls += 1
+        if self.calls > self.limit:
+            raise AssertionError(f"judged more than {self.limit} windows")
+        return self.inner.judge(prompt)
+
+
+@pytest.mark.parametrize("engine", [rerank, select])
+def test_more_candidates_than_depth_at_a_wide_stride_is_refused(engine):
+    # valid for depth 10 (one window), but 30 candidates need stride < window_size:
+    # unchecked, select would judge windows of carried passages only, without end
+    judge = CallLimitJudge(AlwaysSelectJudge())
+    with pytest.raises(ValueError, match=r"stride \(25\) must be smaller than window_size \(20\)"):
+        engine(QUERY, make_passages(30), judge, WindowConfig(10, 20, 25))
+    assert judge.calls == 0
+
+
 class TestSelect:
     def test_never_select_uses_min_windows(self):
         passages = make_passages(8)
         result = select(QUERY, passages, NeverSelectJudge(), WindowConfig(8, 4, 2))
         assert result.selected_ids == []
-        assert result.trace.window_count == 2
+        assert len(result.trace.windows) == 2
         assert [len(r.fresh) for r in result.trace.windows] == [4, 4]
 
     def test_select_everything_uses_max_windows(self):
         passages = make_passages(8)
         result = select(QUERY, passages, AlwaysSelectJudge(), WindowConfig(8, 4, 2))
-        assert result.trace.window_count == 3
+        assert len(result.trace.windows) == 3
         assert sorted(result.selected_ids) == sorted(p.doc_id for p in passages)
         assert [len(r.carried) for r in result.trace.windows] == [0, 2, 2]
         assert [len(r.fresh) for r in result.trace.windows] == [4, 2, 2]
@@ -198,7 +233,7 @@ class TestSelect:
             cfg = WindowConfig(m, w, s)
             result = select(QUERY, passages, judge, cfg)
             lo, hi = window_count_bounds(cfg)
-            assert lo <= result.trace.window_count <= hi
+            assert lo <= len(result.trace.windows) <= hi
             # every window follows the advance arithmetic the bounds are derived from
             queue_len, remaining = 0, m
             for rec in result.trace.windows:
@@ -211,8 +246,9 @@ class TestSelect:
     def test_pseudo_answers_one_per_window(self):
         passages = make_passages(8)
         result = select(QUERY, passages, AlwaysSelectJudge(), WindowConfig(8, 4, 2))
-        assert len(result.pseudo_answers) == result.trace.window_count
-        assert result.pseudo_answers[0] == "everything helps"
+        line = json.loads(selection_line(QUERY.query_id, result))
+        assert line["windows"] == len(result.trace.windows) == 3
+        assert line["pseudo_answers"] == ["everything helps"] * 3
 
     def test_last_short_window_still_judged(self):
         # 7 candidates, w=4, s=2, never select: windows of 4 then 3
@@ -242,7 +278,7 @@ class TestWindowCountBounds:
         cfg = WindowConfig(m, w, s)
         result = select(QUERY, passages, OracleJudge(qrels), cfg)
         lo, hi = window_count_bounds(cfg)
-        assert lo <= result.trace.window_count <= hi
+        assert lo <= len(result.trace.windows) <= hi
 
 
 class TestCut:
@@ -262,49 +298,85 @@ class TestCut:
             cut(["a", "b"], 3)
 
 
-_doc_ids = st.lists(st.sampled_from([f"d{i}" for i in range(12)]), max_size=8)
+class PickingJudge(Judge):
+    """Selects window-local ids that hypothesis draws, in the drawn order."""
+
+    def __init__(self, data):
+        self.data = data
+
+    def judge(self, prompt):
+        picks = st.lists(st.integers(1, prompt.n), unique=True, max_size=prompt.n)
+        selected = tuple(self.data.draw(picks))
+        return JudgeVerdict(
+            kind=SELECTION, raw_text=canonical_selection_text(selected), selected=selected
+        )
 
 
 class TestPreselectedQueue:
+    """``select``'s queue: newest block first, duplicate-free, membership monotone."""
+
     def test_prepend_block_then_dedup(self):
-        queue = PreselectedQueue(["c", "a"])
-        queue.prepend(["b", "c"])
-        assert queue.to_list() == ["b", "c", "a"]
+        d1, d2, d3, d4, d5, d6 = (p.doc_id for p in make_passages(6))
+        judge = ScriptedSelectionJudge([[d3, d1], [d4, d1], [d5], []])
+        result = select(QUERY, make_passages(6), judge, WindowConfig(6, 3, 2))
+        queues = [rec.queue_after for rec in result.trace.windows]
+        assert queues == [(d3, d1), (d4, d1, d3), (d5, d4, d1, d3), (d5, d4, d1, d3)]
+        assert result.selected_ids == [d5, d4, d1, d3]
 
     def test_head_and_len(self):
-        queue = PreselectedQueue(["x", "y", "z"])
-        assert queue.head(2) == ["x", "y"]
-        assert queue.head(10) == ["x", "y", "z"]
-        assert len(queue) == 3
+        # a queue shorter than the stride is carried whole, a longer one by its head
+        d1, d2, _, _, d5, _, d7, d8, d9 = (p.doc_id for p in make_passages(9))
+        judge = ScriptedSelectionJudge([[d2], [d7, d5, d2], [d8], []])
+        result = select(QUERY, make_passages(9), judge, WindowConfig(9, 4, 3))
+        assert [rec.carried for rec in result.trace.windows] == [
+            (),
+            (d2,),
+            (d7, d5, d2),
+            (d8, d7, d5),
+        ]
+        assert [len(rec.queue_after) for rec in result.trace.windows] == [1, 3, 4, 4]
+        assert result.selected_ids == [d8, d7, d5, d2]
 
     def test_reselecting_member_moves_nothing_out(self):
-        queue = PreselectedQueue(["a", "b"])
-        queue.prepend(["b"])
-        assert queue.to_list() == ["b", "a"]
+        d1, d2, *_ = (p.doc_id for p in make_passages(5))
+        judge = ScriptedSelectionJudge([[d1, d2], [d2], []])
+        result = select(QUERY, make_passages(5), judge, WindowConfig(5, 3, 2))
+        assert [rec.queue_after for rec in result.trace.windows] == [
+            (d1, d2),
+            (d2, d1),
+            (d2, d1),
+        ]
+        assert result.selected_ids == [d2, d1]
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(_doc_ids, max_size=6))
-    def test_unique_and_monotone_under_any_prepend_sequence(self, blocks):
-        queue = PreselectedQueue()
-        members: set[str] = set()
-        for block in blocks:
-            queue.prepend(block)
-            ids = queue.to_list()
-            assert len(set(ids)) == len(ids)
-            assert members <= set(ids)
-            assert set(ids) == members | set(block)
-            # the new block occupies the head, in emission order
-            fresh_first = [d for d in dict.fromkeys(block)]
-            assert ids[: len(fresh_first)] == fresh_first
-            members = set(ids)
+    @given(st.integers(1, 30), st.integers(2, 8), st.data())
+    def test_unique_and_monotone_under_any_prepend_sequence(self, m, w, data):
+        s = data.draw(st.integers(1, w - 1))
+        result = select(QUERY, make_passages(m), PickingJudge(data), WindowConfig(m, w, s))
+        previous: tuple[str, ...] = ()
+        for rec in result.trace.windows:
+            queue = rec.queue_after
+            picks = tuple((rec.carried + rec.fresh)[i - 1] for i in rec.verdict.selected)
+            assert len(set(queue)) == len(queue)
+            assert set(previous) <= set(queue)
+            # this window's picks head the queue in emission order, the previous queue follows
+            assert queue[: len(picks)] == picks
+            assert queue[len(picks) :] == tuple(d for d in previous if d not in picks)
+            assert rec.carried == previous[: min(s, len(previous))]
+            previous = queue
+        assert result.selected_ids == list(previous)
 
 
 class TestTraceTotals:
     def test_counters(self):
+        # one record per judged window, counted alike in selected.jsonl and trace.jsonl
         passages, qrels = _grades_qrels([1, 0, 2, 0, 1, 0, 0, 2])
-        result = rerank(QUERY, passages, OracleJudge(qrels), WindowConfig(8, 4, 2))
-        assert result.trace.window_count == len(result.trace.windows)
-        assert result.trace.prompt_char_count > 0
+        judge = CallLimitJudge(OracleJudge(qrels))
+        result = select(QUERY, passages, judge, WindowConfig(8, 4, 2))
+        assert len(result.trace.windows) == judge.calls == 3
+        assert json.loads(selection_line(QUERY.query_id, result))["windows"] == judge.calls
+        lines = trace_lines(result.trace).splitlines()
+        assert [json.loads(line)["window_index"] for line in lines] == list(range(judge.calls))
 
     def test_queries_differ(self):
         passages, qrels = _grades_qrels([1, 0, 2, 0])
