@@ -29,7 +29,7 @@ from .judge import (
     canonical_text,
     verdict_from_text,
 )
-from .prompting import PromptBudget, PromptTemplate, RenderedPrompt
+from .prompting import PromptTemplate, RenderedPrompt
 from .windowing import QueryFailure, WindowConfig, rerank, select
 
 logger = logging.getLogger(__name__)
@@ -116,7 +116,6 @@ def annotate_query(
     judge: Judge,
     cfg: WindowConfig,
     templates: tuple[PromptTemplate, PromptTemplate] | None,
-    budget: PromptBudget | None,
     *,
     kind: str,
 ) -> list[TrainingRecord]:
@@ -130,7 +129,7 @@ def annotate_query(
     """
     log = _WindowLog(judge)
     try:
-        (rerank if kind == RANKING else select)(query, passages, log, cfg, templates, budget)
+        (rerank if kind == RANKING else select)(query, passages, log, cfg, templates)
     except QueryFailure as failure:
         logger.warning("teacher unreachable for query %s: %s", query.query_id, failure.error)
     records = []

@@ -46,7 +46,7 @@ from .metrics import (
     write_report,
 )
 from .pipeline import QueryFailure, run_batch
-from .prompting import PromptBudget, TemplateError, load_templates
+from .prompting import TemplateError, load_templates
 from .windowing import (
     WindowConfig,
     cut,
@@ -120,7 +120,9 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 
 def _window_cfg(args: argparse.Namespace) -> WindowConfig:
-    return WindowConfig(depth=args.depth, window_size=args.w, stride=args.s)
+    return WindowConfig(
+        depth=args.depth, window_size=args.w, stride=args.s, passage_tokens=args.passage_tokens
+    )
 
 
 def _report_failures(failures: list[QueryFailure]) -> int:
@@ -132,7 +134,7 @@ def _report_failures(failures: list[QueryFailure]) -> int:
 
 
 def _load_batch_inputs(args: argparse.Namespace):
-    """Load what every batch command judges: queries, run, corpus, judge, templates, budget.
+    """Load what every batch command judges: queries, run, corpus, judge and templates.
 
     The run is read first, so the corpus holds only the passages it references.
     """
@@ -142,8 +144,7 @@ def _load_batch_inputs(args: argparse.Namespace):
     qrels = load_qrels(args.qrels) if args.qrels else None
     judge = _build_judge(args, qrels)
     templates = load_templates(args.templates)
-    budget = PromptBudget(per_passage_tokens=args.passage_tokens)
-    return queries, run, corpus, judge, templates, budget
+    return queries, run, corpus, judge, templates
 
 
 @contextmanager
@@ -180,13 +181,11 @@ def _stream_batch(
     queries follow, in query_id order. Returns the output directory, the
     queries written, the lines written to each output, and the failures.
     """
-    queries, run, corpus, judge, templates, budget = _load_batch_inputs(args)
+    queries, run, corpus, judge, templates = _load_batch_inputs(args)
     trace = getattr(args, "trace", False)  # annotate writes no trace
     done, counts, failures = 0, [0] * len(outputs), []
     with closing(judge):
-        outcomes = run_batch(
-            engine, queries, run, corpus, judge, cfg, templates, budget, args.parallel
-        )
+        outcomes = run_batch(engine, queries, run, corpus, judge, cfg, templates, args.parallel)
         out = _out_dir(args)
         names = [*outputs, "trace.jsonl"] if trace else outputs
         with closing(outcomes), _staged(out, names) as files:
@@ -249,7 +248,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     run: dict[str, CandidateList] | None = None
     if args.selection:
         selected = read_selection_file(args.selection)
-    elif args.run and args.k:
+    elif args.run and args.k is not None:
         run = load_run(args.run, max_depth=args.depth)
         selected = {qid: cut(cl.doc_ids(), min(args.k, len(cl))) for qid, cl in run.items()}
     if selected is not None:
@@ -293,7 +292,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     out, done, (passed, rejected), _ = _stream_batch(
         args,
         partial(annotate_query, kind=args.kind),
-        WindowConfig(depth=args.depth, window_size=args.w),
+        WindowConfig(depth=args.depth, window_size=args.w, passage_tokens=args.passage_tokens),
         TRAINING_FILES,
         lambda qid, records: map(training_line, records),
     )
@@ -302,7 +301,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _window_cfg(args)
+    cfg = WindowConfig(depth=args.depth, window_size=args.w, stride=args.s)
     profile, observed = parse_profile_spec(args.profile, cfg.depth)
     sim = simulate(cfg, profile, trials=args.trials, seed=args.seed)
     doc = sim.to_json_dict()

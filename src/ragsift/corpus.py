@@ -1,5 +1,9 @@
 """Loading and validation of on-disk inputs: corpora, queries, runs, qrels, gold files.
 
+Inputs load as plain dicts. A corpus maps doc_id to its ``Passage``. Qrels
+map query_id to ``{doc_id: grade}``; a (query, doc) pair absent from them
+has grade 0, so read a grade with ``qrels.get(qid, {}).get(doc_id, 0)``.
+
 Everything here is read once at pipeline start and treated as immutable
 afterwards, so loaded structures are safe to share across concurrent
 per-query pipelines.
@@ -12,7 +16,7 @@ import logging
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Callable, Container, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Any, Callable, Container, Iterator, Mapping, Sequence, TypeVar
 
 logger = logging.getLogger(__name__)
 
@@ -50,55 +54,6 @@ class CandidateList:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-
-class Corpus:
-    """Immutable doc_id -> Passage index."""
-
-    def __init__(self, passages: Iterable[Passage] = ()):
-        self._by_id: dict[str, Passage] = {}
-        for p in passages:
-            self._add(p)
-
-    def _add(self, passage: Passage, where: str = "") -> None:
-        # ``where`` locates the passage in its file for the duplicate message
-        if passage.doc_id in self._by_id:
-            raise LoadError(f"duplicate doc_id {passage.doc_id}{where}")
-        self._by_id[passage.doc_id] = passage
-
-    def __len__(self) -> int:
-        return len(self._by_id)
-
-    def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._by_id
-
-    def __getitem__(self, doc_id: str) -> Passage:
-        return self._by_id[doc_id]
-
-
-class Qrels:
-    """Graded relevance judgments. Absent (query, doc) pairs have grade 0."""
-
-    def __init__(self, grades: Mapping[str, Mapping[str, int]] | None = None):
-        self._grades: dict[str, dict[str, int]] = {
-            qid: dict(docs) for qid, docs in (grades or {}).items()
-        }
-
-    def grade(self, query_id: str, doc_id: str) -> int:
-        return self._grades.get(query_id, {}).get(doc_id, 0)
-
-    def grades_for(self, query_id: str) -> dict[str, int]:
-        return dict(self._grades.get(query_id, {}))
-
-    def positives(self, query_id: str, threshold: int = 1) -> set[str]:
-        """Doc ids judged at or above ``threshold`` for the query."""
-        return {d for d, g in self._grades.get(query_id, {}).items() if g >= threshold}
-
-    def query_ids(self) -> list[str]:
-        return list(self._grades)
-
-    def __contains__(self, query_id: str) -> bool:
-        return query_id in self._grades
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +154,7 @@ def _id_text_records(path: Path, id_field: str) -> Iterator[tuple[int, str, str,
         yield lineno, rid, text, title
 
 
-def load_corpus(path: str | Path, keep: Container[str] | None = None) -> Corpus:
+def load_corpus(path: str | Path, keep: Container[str] | None = None) -> dict[str, Passage]:
     """Load a passage corpus from JSONL (``doc_id``/``_id``, ``text``, optional
     ``title``) or two/three column TSV (``doc_id<TAB>text[<TAB>title]``).
 
@@ -212,14 +167,14 @@ def load_corpus(path: str | Path, keep: Container[str] | None = None) -> Corpus:
             the line.
     """
     path = Path(path)
-    corpus = Corpus()
-    # duplicates among held passages are caught by the corpus, among the rest here
+    corpus: dict[str, Passage] = {}
     dropped: set[str] = set()
     for lineno, doc_id, text, title in _id_text_records(path, "doc_id"):
-        if keep is None or doc_id in keep:
-            corpus._add(Passage(doc_id, text, title), f" at line {lineno} of {path}")
-        elif doc_id in dropped:
+        held = keep is None or doc_id in keep
+        if doc_id in (corpus if held else dropped):
             raise LoadError(f"duplicate doc_id {doc_id} at line {lineno} of {path}")
+        if held:
+            corpus[doc_id] = Passage(doc_id, text, title)
         else:
             dropped.add(doc_id)
     return corpus
@@ -293,10 +248,10 @@ def trec_lines(query_id: str, doc_ids: Sequence[str], tag: str) -> str:
     return "".join([head + doc_id + cols + tail for doc_id, cols in zip(doc_ids, columns)])
 
 
-def load_qrels(path: str | Path) -> Qrels:
+def load_qrels(path: str | Path) -> dict[str, dict[str, int]]:
     """Load TREC 4-column qrels (``qid 0 docid grade``). Grade-0 lines are kept."""
     path = Path(path)
-    qrels = Qrels()
+    qrels: dict[str, dict[str, int]] = {}
     for lineno, parts in delimited_rows(path, 4):
         qid, doc_id = parts[0], parts[2]
         try:
@@ -305,9 +260,9 @@ def load_qrels(path: str | Path) -> Qrels:
             raise LoadError(f"{path}: non-integer grade at line {lineno}") from exc
         if grade < 0:
             raise LoadError(f"{path}: negative grade at line {lineno}")
-        grades = qrels._grades.get(qid)
+        grades = qrels.get(qid)
         if grades is None:
-            grades = qrels._grades[qid] = {}
+            grades = qrels[qid] = {}
         elif doc_id in grades:
             raise LoadError(f"{path}: duplicate qrels pair ({qid}, {doc_id}) at line {lineno}")
         grades[doc_id] = grade
@@ -369,21 +324,22 @@ def load_evidence(path: str | Path) -> dict[str, set[str]]:
     return load_query_field(path, "evidence", lambda v: set(_string_list(v)))
 
 
-def evidence_from_qrels(qrels: Qrels, threshold: int = 1) -> dict[str, set[str]]:
+def evidence_from_qrels(
+    qrels: Mapping[str, Mapping[str, int]], threshold: int = 1
+) -> dict[str, set[str]]:
     """Derive a gold evidence set from qrels entries at or above ``threshold``.
 
     Used when no dedicated evidence file is supplied; queries with no
     positive judgments are omitted.
     """
-    out: dict[str, set[str]] = {}
-    for qid in qrels.query_ids():
-        positives = qrels.positives(qid, threshold)
-        if positives:
-            out[qid] = positives
-    return out
+    return {
+        qid: positives
+        for qid, grades in qrels.items()
+        if (positives := {d for d, g in grades.items() if g >= threshold})
+    }
 
 
-def resolve_candidates(corpus: Corpus, candidates: CandidateList) -> list[Passage]:
+def resolve_candidates(corpus: Mapping[str, Passage], candidates: CandidateList) -> list[Passage]:
     """Resolve a candidate list against the corpus, in rank order."""
     missing = [d for d in candidates.ids if d not in corpus]
     if missing:
@@ -394,7 +350,7 @@ def resolve_candidates(corpus: Corpus, candidates: CandidateList) -> list[Passag
     return [corpus[d] for d in candidates.ids]
 
 
-def check_run_resolves(corpus: Corpus, run: Mapping[str, CandidateList]) -> None:
+def check_run_resolves(corpus: Mapping[str, Passage], run: Mapping[str, CandidateList]) -> None:
     """Fail fast before any judging if any candidate doc_id is unresolvable.
 
     Collects every unresolved id across all queries so one pass reports the

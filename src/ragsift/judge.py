@@ -31,10 +31,10 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 from urllib.parse import urlsplit
 
-from .corpus import LoadError, Qrels, jsonl_records
+from .corpus import LoadError, jsonl_records
 from .prompting import RenderedPrompt
 
 if TYPE_CHECKING:
@@ -255,15 +255,14 @@ class OracleJudge(Judge):
     oracle runs can be recorded and replayed.
     """
 
-    def __init__(self, qrels: Qrels, selection_threshold: int = 1):
+    def __init__(self, qrels: Mapping[str, Mapping[str, int]], selection_threshold: int = 1):
         self.qrels = qrels
         self.selection_threshold = selection_threshold
 
-    def _grades(self, prompt: RenderedPrompt) -> list[int]:
-        return [self.qrels.grade(prompt.query_id, d) for d in prompt.doc_ids]
-
     def judge(self, prompt: RenderedPrompt) -> JudgeVerdict:
-        grades = self._grades(prompt)
+        # a pair absent from the qrels has grade 0
+        by_doc = self.qrels.get(prompt.query_id, {})
+        grades = [by_doc.get(d, 0) for d in prompt.doc_ids]
         order = sorted(range(prompt.n), key=lambda i: (-grades[i], i))
         if prompt.kind == RANKING:
             permutation = tuple(i + 1 for i in order)

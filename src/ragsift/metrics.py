@@ -17,7 +17,7 @@ from operator import add
 from pathlib import Path
 from typing import Collection, Mapping, Sequence
 
-from .corpus import CandidateList, Qrels, load_query_field
+from .corpus import CandidateList, load_query_field
 
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
@@ -170,7 +170,9 @@ def ndcg_query(ranked_doc_ids: Sequence[str], grades: Mapping[str, int], k: int)
     return dcg(run_grades, k) / idcg
 
 
-def ndcg_at_k(run: Mapping[str, CandidateList], qrels: Qrels, k: int) -> float:
+def ndcg_at_k(
+    run: Mapping[str, CandidateList], qrels: Mapping[str, Mapping[str, int]], k: int
+) -> float:
     """Mean nDCG@k over every query in the run.
 
     Queries absent from the qrels (or with no relevant document) contribute
@@ -179,10 +181,12 @@ def ndcg_at_k(run: Mapping[str, CandidateList], qrels: Qrels, k: int) -> float:
     return mean_in_order(ndcg_per_query(run, qrels, k).values())
 
 
-def ndcg_per_query(run: Mapping[str, CandidateList], qrels: Qrels, k: int) -> dict[str, float]:
+def ndcg_per_query(
+    run: Mapping[str, CandidateList], qrels: Mapping[str, Mapping[str, int]], k: int
+) -> dict[str, float]:
     if k < 1:
         raise ValueError("k must be >= 1")
-    return {qid: ndcg_query(cl.doc_ids(), qrels.grades_for(qid), k) for qid, cl in run.items()}
+    return {qid: ndcg_query(cl.doc_ids(), qrels.get(qid, {}), k) for qid, cl in run.items()}
 
 
 def mean_in_order(values: Collection[float]) -> float:

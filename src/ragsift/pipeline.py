@@ -23,16 +23,9 @@ from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable, Generator, Mapping, Sequence, TypeVar
 
-from .corpus import (
-    CandidateList,
-    Corpus,
-    Passage,
-    Query,
-    check_run_resolves,
-    resolve_candidates,
-)
+from .corpus import CandidateList, Passage, Query, check_run_resolves, resolve_candidates
 from .judge import Judge
-from .prompting import PromptBudget, PromptTemplate
+from .prompting import PromptTemplate
 from .windowing import QueryFailure, WindowConfig
 
 logger = logging.getLogger(__name__)
@@ -51,17 +44,16 @@ def run_batch(
     engine: Callable[..., T],
     queries: Sequence[Query],
     run: Mapping[str, CandidateList],
-    corpus: Corpus,
+    corpus: Mapping[str, Passage],
     judge: Judge,
     cfg: WindowConfig,
     templates: tuple[PromptTemplate, PromptTemplate] | None = None,
-    budget: PromptBudget | None = None,
     parallel: int = 1,
 ) -> Generator[tuple[str, T | QueryFailure], None, None]:
     """Run ``engine`` over every query that has candidates, ``parallel`` at a time.
 
-    ``engine`` is called as ``engine(query, passages, judge, cfg, templates,
-    budget)``: ``rerank``, ``select``, or ``annotate_query``. Returns a
+    ``engine`` is called as ``engine(query, passages, judge, cfg, templates)``:
+    ``rerank``, ``select``, or ``annotate_query``. Returns a
     generator of ``(query_id, outcome)`` in query_id order whatever
     ``parallel`` is; the outcome is the engine's result, or a ``QueryFailure``
     for a query the judge transport aborted. The run is checked against the
@@ -88,7 +80,7 @@ def run_batch(
     def one(job: tuple[Query, list[Passage]]) -> tuple[str, T | QueryFailure]:
         query, passages = job
         try:
-            return query.query_id, engine(query, passages, judge, cfg, templates, budget)
+            return query.query_id, engine(query, passages, judge, cfg, templates)
         except QueryFailure as failure:
             logger.warning("query %s aborted: %s", query.query_id, failure.error)
             # the outcome outlives the query: keep its trace, not the frames it unwound

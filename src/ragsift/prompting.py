@@ -10,8 +10,8 @@ Each section may use only its own placeholders:
 
 - ``[system]``: none; the text is sent as it stands.
 - ``[passage]``: ``{index}`` (int, the one-based identifier) and ``{text}``
-  (str, truncated to the budget) are required; ``{title}`` (str, empty for
-  an untitled passage) is optional.
+  (str, truncated to ``passage_tokens``) are required; ``{title}`` (str,
+  empty for an untitled passage) is optional.
 - ``[instruction:ranking]`` and ``[instruction:selection]``: ``{query}``
   (str, never truncated) is required; ``{count}`` (int, the window size) is
   optional.
@@ -132,17 +132,6 @@ CHARS_PER_TOKEN = 4
 
 
 @dataclass(frozen=True)
-class PromptBudget:
-    """Per-passage length budget, in tokens of ``CHARS_PER_TOKEN`` characters."""
-
-    per_passage_tokens: int = 300
-
-    def __post_init__(self) -> None:
-        if self.per_passage_tokens < 1:
-            raise ValueError("per_passage_tokens must be >= 1")
-
-
-@dataclass(frozen=True)
 class RenderedPrompt:
     """A rendered window prompt: the whole description of one window a judge answers.
 
@@ -218,16 +207,17 @@ def render(
     template: PromptTemplate,
     query: Query,
     window: Sequence[Passage],
-    budget: PromptBudget | None = None,
+    passage_tokens: int = 300,
 ) -> RenderedPrompt:
     """Render a window of passages into a prompt.
 
     Passages keep their window order and are labeled [1]..[n]. Passage text
-    is truncated to the budget; the query text is never truncated.
+    is truncated to ``passage_tokens`` tokens of ``CHARS_PER_TOKEN``
+    characters; the query text is never truncated.
     """
     if not window:
         raise ValueError("cannot render an empty window")
-    limit = (budget or PromptBudget()).per_passage_tokens * CHARS_PER_TOKEN
+    limit = passage_tokens * CHARS_PER_TOKEN
     args: list[int | str] = []
     for i, passage in enumerate(window, 1):
         text = passage.text

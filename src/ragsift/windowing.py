@@ -28,20 +28,24 @@ from typing import Sequence
 
 from .corpus import Passage, Query, id_list, load_query_field
 from .judge import Judge, JudgeTransportError, JudgeVerdict, judge_window
-from .prompting import PromptBudget, PromptTemplate, default_templates, render
+from .prompting import PromptTemplate, default_templates, render
 
 
 @dataclass(frozen=True)
 class WindowConfig:
-    """Sliding-window geometry: candidate depth, window size and stride."""
+    """Sliding-window geometry (candidate depth, window size and stride) and
+    the per-passage truncation budget, in tokens, of every rendered window."""
 
     depth: int = 100
     window_size: int = 20
     stride: int = 10
+    passage_tokens: int = 300
 
     def __post_init__(self) -> None:
         if self.depth < 1 or self.window_size < 1 or self.stride < 1:
             raise ValueError("depth, window_size and stride must all be positive")
+        if self.passage_tokens < 1:
+            raise ValueError(f"passage_tokens must be at least 1, got {self.passage_tokens}")
         if self.depth > self.window_size and self.stride >= self.window_size:
             raise ValueError(
                 f"stride ({self.stride}) must be smaller than window_size "
@@ -146,7 +150,6 @@ def rerank(
     judge: Judge,
     cfg: WindowConfig,
     templates: tuple[PromptTemplate, PromptTemplate] | None = None,
-    budget: PromptBudget | None = None,
 ) -> RerankResult:
     """Re-rank candidates with the back-to-front sliding window.
 
@@ -165,7 +168,7 @@ def rerank(
     prev_start: int | None = None
     for start, end in plan_ranking_windows(cfg):
         window = order[start:end]
-        prompt = render(ranking_template, query, window, budget)
+        prompt = render(ranking_template, query, window, cfg.passage_tokens)
         try:
             verdict = judge_window(judge, prompt)
         except JudgeTransportError as exc:
@@ -194,7 +197,6 @@ def select(
     judge: Judge,
     cfg: WindowConfig,
     templates: tuple[PromptTemplate, PromptTemplate] | None = None,
-    budget: PromptBudget | None = None,
 ) -> SelectionResult:
     """Select useful candidates with the forward-propagating sliding window.
 
@@ -221,7 +223,7 @@ def select(
         fresh = candidates[pos : pos + cfg.window_size - len(carried)]
         window = [*carried, *fresh]
 
-        prompt = render(selection_template, query, window, budget)
+        prompt = render(selection_template, query, window, cfg.passage_tokens)
         try:
             verdict = judge_window(judge, prompt)
         except JudgeTransportError as exc:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from ragsift.corpus import CandidateList, Passage, Qrels, Query
+from ragsift.corpus import CandidateList, Passage, Query
 from ragsift.costsim import SelectionProfile
 from ragsift.data import mini_dataset_dir
 from ragsift.judge import (
@@ -37,8 +37,8 @@ def make_passages(n: int, prefix: str = "d", text: str = "t") -> list[Passage]:
     return [Passage(doc_id=f"{prefix}{i + 1}", text=f"{text} {i + 1}") for i in range(n)]
 
 
-def make_qrels(query_id: str, grades: dict[str, int]) -> Qrels:
-    return Qrels({query_id: grades})
+def make_qrels(query_id: str, grades: dict[str, int]) -> dict[str, dict[str, int]]:
+    return {query_id: grades}
 
 
 def make_candidates(query_id: str, doc_ids: list[str]) -> CandidateList:

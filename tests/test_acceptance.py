@@ -20,7 +20,7 @@ from ragsift.annotate import (
     validate_generation,
 )
 from ragsift.cli import main
-from ragsift.corpus import load_qrels, load_run
+from ragsift.corpus import evidence_from_qrels, load_qrels, load_run
 from ragsift.costsim import SelectionProfile, simulate
 from ragsift.judge import (
     RANKING,
@@ -305,7 +305,7 @@ def test_criterion_8_end_to_end_determinism_and_selection_wins(mini_e2e, mini_di
         ).read_bytes()
 
     qrels = load_qrels(mini_dir / "qrels.txt")
-    gold = {qid: qrels.positives(qid) for qid in qrels.query_ids() if qrels.positives(qid)}
+    gold = evidence_from_qrels(qrels)
 
     reranked = load_run(baseline[0] / "run.trec", max_depth=10)
     cut_scores = []

@@ -18,7 +18,7 @@ from ragsift.annotate import (
     validate_generation,
 )
 from ragsift.cli import main
-from ragsift.corpus import Corpus, Passage, Query
+from ragsift.corpus import Passage, Query
 from ragsift.judge import (
     RANKING,
     SELECTION,
@@ -83,9 +83,11 @@ class TestValidateGeneration:
 
 
 def _mini_inputs(n_queries=3, depth=4):
-    corpus = Corpus(
-        Passage(f"p{q}_{i}", f"text {q} {i}") for q in range(n_queries) for i in range(depth)
-    )
+    corpus = {
+        f"p{q}_{i}": Passage(f"p{q}_{i}", f"text {q} {i}")
+        for q in range(n_queries)
+        for i in range(depth)
+    }
     queries = [Query(f"q{q}", f"question {q}") for q in range(n_queries)]
     run = {
         f"q{q}": make_candidates(f"q{q}", [f"p{q}_{i}" for i in range(depth)])

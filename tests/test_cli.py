@@ -311,6 +311,14 @@ class TestEvaluateCommand:
         assert code == 0
         assert len(calls) == 1
 
+    def test_k_zero_is_refused(self, mini_dir, tmp_path, capsys):
+        flags = ["--run", str(mini_dir / "run.trec"), "--qrels", str(mini_dir / "qrels.txt")]
+        out = tmp_path / "eval"
+        code = main(["evaluate", *flags, "--k", "0", "--ndcg-k", "10", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: k must be in 1..")
+        assert not out.exists()
+
 
 class TestAnnotateCommand:
     def test_oracle_ranking_annotation(self, mini_dir, tmp_path):
@@ -899,7 +907,6 @@ def test_cli_surface_is_pinned():
 
 PUBLIC_SURFACE = [
     "CandidateList",
-    "Corpus",
     "Judge",
     "JudgeEndpointConfig",
     "JudgeTransportError",
@@ -908,9 +915,7 @@ PUBLIC_SURFACE = [
     "MetricsReport",
     "OracleJudge",
     "Passage",
-    "PromptBudget",
     "PromptTemplate",
-    "Qrels",
     "Query",
     "RemoteJudge",
     "RenderedPrompt",
@@ -983,6 +988,10 @@ class TestEntryPoints:
             (["rerank", *missing, "--tag", "a b"], "--tag"),
             (["select", *_mini_flags(mini_dir), "--parallel", "0"], "got 0"),
             (["select", *_mini_flags(mini_dir), "--parallel", "-1"], "got -1"),
+            # the passage budget is part of the window config, built before any input is read
+            (["select", *missing, "--passage-tokens", "0"], "passage_tokens"),
+            (["rerank", *missing, "--passage-tokens", "-1"], "passage_tokens"),
+            (["annotate", *missing, "--kind", "ranking", "--passage-tokens", "0"], "passage_tokens"),
         ]
         out = tmp_path / "out"
         for argv, named in bad_inputs:

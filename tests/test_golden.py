@@ -27,6 +27,7 @@ GEOMETRY = {
     "select-truncated": ["--depth", "10", "--w", "4", "--s", "2", "--trace", "--passage-tokens", "8"],
     "annotate-ranking": ["--kind", "ranking", "--depth", "4", "--w", "4"],
     "annotate-selection": ["--kind", "selection", "--depth", "4", "--w", "4"],
+    "annotate-ranking-truncated": ["--kind", "ranking", "--depth", "4", "--w", "4", "--passage-tokens", "8"],
 }
 
 OUTPUTS = {
@@ -36,6 +37,7 @@ OUTPUTS = {
     "select-truncated": ("selected.jsonl", "trace.jsonl"),
     "annotate-ranking": ("train.jsonl", "rejected.jsonl"),
     "annotate-selection": ("train.jsonl", "rejected.jsonl"),
+    "annotate-ranking-truncated": ("train.jsonl", "rejected.jsonl"),
 }
 
 GOLDEN = {
@@ -71,6 +73,12 @@ GOLDEN = {
         "train.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "rejected.jsonl": "7dfe45ddfaebb204183383edf9111bf87be002d691c0cf1a377a150964320f20",
         "transcript.jsonl": "d5454d186fb342aa22f95290f567dcdee138ed9fd3b81bc661edf15efca96fcf",
+    },
+    # the cut reaches the training messages and the transcript, not the verdicts
+    "annotate-ranking-truncated": {
+        "train.jsonl": "a882697921fb8ba9734f24150cd969ef8b7fbef128f0f655454f0c04d1c85cec",
+        "rejected.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "transcript.jsonl": "1ab5d5bd4956a888ba209e3a3be192026f4b41d29fbf1b63996b4ae3f0452fae",
     },
 }
 

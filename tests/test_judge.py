@@ -196,6 +196,17 @@ class TestOracleJudge:
         for _ in range(5):
             assert judge_window(judge, _prompt(3)) == first
 
+    def test_query_absent_from_qrels_grades_every_passage_zero(self):
+        judge = OracleJudge(make_qrels("q2", {"d1": 3, "d2": 3, "d3": 3}))
+        assert judge_window(judge, _prompt(3)).permutation == (1, 2, 3)
+        assert judge_window(judge, _prompt(3, kind=SELECTION)).selected == ()
+
+    def test_doc_absent_from_grades_is_grade_zero(self):
+        # d1 and d3 are unjudged: like d4's judged 0 they keep window order below d2
+        judge = OracleJudge(make_qrels("q1", {"d2": 1, "d4": 0}))
+        assert judge_window(judge, _prompt(4)).permutation == (2, 1, 3, 4)
+        assert judge_window(judge, _prompt(4, kind=SELECTION)).selected == (2,)
+
 
 class TestReplayAndRecording:
     def test_record_then_replay_identical(self, tmp_path):

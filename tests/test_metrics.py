@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ragsift.corpus import Qrels
 from ragsift.metrics import (
     MetricsReport,
     answer_em_f1,
@@ -129,7 +128,7 @@ class TestNdcg:
         assert ndcg_query(["a", "b"], {"a": 0, "b": 0}, 2) == 0.0
 
     def test_query_missing_from_qrels_counts_as_zero(self):
-        qrels = Qrels({"q1": {"d1": 2}})
+        qrels = {"q1": {"d1": 2}}
         run = {
             "q1": make_candidates("q1", ["d1"]),
             "q2": make_candidates("q2", ["d9"]),
@@ -156,7 +155,7 @@ class TestNdcg:
             assert ndcg_query(run_ids, grade_map, k) == pytest.approx(expected, abs=1e-9)
 
     def test_mean_insensitive_to_iteration_order(self):
-        qrels = Qrels({"q1": {"d1": 2}, "q2": {"d2": 1, "d3": 3}})
+        qrels = {"q1": {"d1": 2}, "q2": {"d2": 1, "d3": 3}}
         run_a = {
             "q1": make_candidates("q1", ["d1", "d2"]),
             "q2": make_candidates("q2", ["d3", "d2"]),

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from ragsift import pipeline
-from ragsift.corpus import Corpus, LoadError, Passage, Qrels, Query
+from ragsift.corpus import LoadError, Passage, Query
 from ragsift.judge import Judge, JudgeTransportError, OracleJudge, verdict_from_text
 from ragsift.pipeline import QueryFailure, run_batch
 from ragsift.windowing import WindowConfig, rerank, select
@@ -15,17 +15,17 @@ from tests.conftest import make_candidates
 
 
 def _inputs(n_queries=4, depth=6):
-    corpus = Corpus(
-        Passage(f"p{q}_{i}", f"body {q} {i}") for q in range(n_queries) for i in range(depth)
-    )
+    corpus = {
+        f"p{q}_{i}": Passage(f"p{q}_{i}", f"body {q} {i}")
+        for q in range(n_queries)
+        for i in range(depth)
+    }
     queries = [Query(f"q{q}", f"question {q}") for q in range(n_queries)]
     run = {
         f"q{q}": make_candidates(f"q{q}", [f"p{q}_{i}" for i in range(depth)])
         for q in range(n_queries)
     }
-    qrels = Qrels(
-        {f"q{q}": {f"p{q}_{i}": (i + q) % 3 for i in range(depth)} for q in range(n_queries)}
-    )
+    qrels = {f"q{q}": {f"p{q}_{i}": (i + q) % 3 for i in range(depth)} for q in range(n_queries)}
     return corpus, queries, run, qrels
 
 

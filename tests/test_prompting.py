@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from ragsift.corpus import LoadError, Passage, Query
 from ragsift.prompting import (
     CHARS_PER_TOKEN,
-    PromptBudget,
     PromptTemplate,
     TemplateError,
     default_templates,
@@ -35,10 +34,10 @@ def scan_truncate(text: str, limit: int) -> str:
 
 
 def format_per_passage(
-    template: PromptTemplate, query: Query, window: list[Passage], budget: PromptBudget
+    template: PromptTemplate, query: Query, window: list[Passage], passage_tokens: int
 ) -> str:
     """Reference user message: one keyword ``str.format`` per passage, joined."""
-    limit = budget.per_passage_tokens * CHARS_PER_TOKEN
+    limit = passage_tokens * CHARS_PER_TOKEN
     lines = [
         template.per_passage_text.format(
             index=i, title=p.title or "", text=truncate_text(p.text, limit)
@@ -132,17 +131,16 @@ class TestRender:
     def test_long_query_never_truncated(self):
         ranking, _ = default_templates()
         query = Query("q1", "needle " * 500 + "END")
-        prompt = render(ranking, query, make_passages(1), PromptBudget(per_passage_tokens=1))
+        prompt = render(ranking, query, make_passages(1), passage_tokens=1)
         assert query.text in prompt.user
 
     def test_total_length_bounded_by_per_passage_budget(self):
         ranking, _ = default_templates()
         n = 7
-        budget = PromptBudget(per_passage_tokens=50)
         long_window = [Passage(f"d{i}", "lorem ipsum " * 400) for i in range(n)]
         tiny_window = [Passage(f"d{i}", "x") for i in range(n)]
-        rendered = render(ranking, QUERY, long_window, budget)
-        fixed = len(render(ranking, QUERY, tiny_window, budget).full_text()) - n
+        rendered = render(ranking, QUERY, long_window, passage_tokens=50)
+        fixed = len(render(ranking, QUERY, tiny_window, passage_tokens=50).full_text()) - n
         assert len(rendered.full_text()) <= fixed + n * 200
 
 
@@ -160,9 +158,8 @@ class TestRender:
     def test_matches_per_passage_format(self, template, query_text, passages, tokens):
         window = [Passage(f"d{i}", text, title) for i, (text, title) in enumerate(passages)]
         query = Query("q", query_text)
-        budget = PromptBudget(per_passage_tokens=tokens)
-        prompt = render(template, query, window, budget)
-        assert prompt.user == format_per_passage(template, query, window, budget)
+        prompt = render(template, query, window, tokens)
+        assert prompt.user == format_per_passage(template, query, window, tokens)
         assert prompt.system == template.system_text
 
 
@@ -202,8 +199,7 @@ class TestTruncation:
         tokens, rest = divmod(limit, CHARS_PER_TOKEN)
         if rest == 0:  # a budget of whole tokens renders with this limit
             ranking, _ = default_templates()
-            budget = PromptBudget(per_passage_tokens=tokens)
-            prompt = render(ranking, QUERY, [Passage("d1", text)], budget)
+            prompt = render(ranking, QUERY, [Passage("d1", text)], tokens)
             assert prompt.user.startswith(f"[1] {out}\n\n")
 
 
