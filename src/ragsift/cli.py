@@ -133,13 +133,16 @@ def _report_failures(failures: list[QueryFailure]) -> int:
     return 0
 
 
-def _load_batch_inputs(args: argparse.Namespace):
+def _load_batch_inputs(args: argparse.Namespace, passage_tokens: int):
     """Load what every batch command judges: queries, run, corpus, judge and templates.
 
-    The run is read first, so the corpus holds only the passages it references.
+    The run is read first, so the corpus holds only the passages it references,
+    keyed by the run's own id strings, with text cut to the ``passage_tokens``
+    budget the windows render at.
     """
     run = load_run(args.run, max_depth=args.depth)
-    corpus = load_corpus(args.corpus, keep={d for cl in run.values() for d in cl.ids})
+    ids = {d: d for cl in run.values() for d in cl.ids}
+    corpus = load_corpus(args.corpus, keep=ids, passage_tokens=passage_tokens)
     queries = load_queries(args.queries)
     qrels = load_qrels(args.qrels) if args.qrels else None
     judge = _build_judge(args, qrels)
@@ -181,7 +184,7 @@ def _stream_batch(
     queries follow, in query_id order. Returns the output directory, the
     queries written, the lines written to each output, and the failures.
     """
-    queries, run, corpus, judge, templates = _load_batch_inputs(args)
+    queries, run, corpus, judge, templates = _load_batch_inputs(args, cfg.passage_tokens)
     trace = getattr(args, "trace", False)  # annotate writes no trace
     done, counts, failures = 0, [0] * len(outputs), []
     with closing(judge):
@@ -236,6 +239,9 @@ def cmd_select(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     from .windowing import read_selection_file
 
+    if args.selection and args.k is not None:
+        # the selection and the top-k cut would both be scored as the one evidence set
+        raise LoadError("--k cannot be combined with --selection: evaluate each in its own call")
     report = MetricsReport()
     qrels = load_qrels(args.qrels) if args.qrels else None
 
@@ -392,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--run", help="TREC run file (for --k evidence cuts and nDCG)")
     p.add_argument("--qrels", help="TREC qrels file")
     p.add_argument("--evidence", help="gold evidence JSONL {query_id, evidence: [...]}")
-    p.add_argument("--k", type=int, help="evaluate the top-k run cut as evidence")
+    p.add_argument("--k", type=int, help="evaluate the top-k run cut as evidence (not with --selection)")
     p.add_argument("--ndcg-k", type=int, nargs="+", help="nDCG cutoffs, e.g. --ndcg-k 10")
     p.add_argument("--depth", type=int, default=100, help="run load depth (default 100)")
     p.add_argument("--threshold", type=int, default=1, help="qrels grade treated as positive")

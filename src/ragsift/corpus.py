@@ -4,6 +4,14 @@ Inputs load as plain dicts. A corpus maps doc_id to its ``Passage``. Qrels
 map query_id to ``{doc_id: grade}``; a (query, doc) pair absent from them
 has grade 0, so read a grade with ``qrels.get(qid, {}).get(doc_id, 0)``.
 
+Each input is held once, in the form the windows read it. A run holds one
+string per distinct doc id across its queries. A corpus loaded with a
+``passage_tokens`` budget holds each passage's text already cut by
+``truncate_text``, the rule ``prompting.render`` applies; since cutting is
+idempotent, rendering at that same budget gives the prompts the full text
+would. Given the run's ``{id: id}`` dict as ``keep``, the corpus keys each
+passage by the run's own id string.
+
 Everything here is read once at pipeline start and treated as immutable
 afterwards, so loaded structures are safe to share across concurrent
 per-query pipelines.
@@ -13,6 +21,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -54,6 +63,35 @@ class CandidateList:
 
     def __len__(self) -> int:
         return len(self.ids)
+
+
+# a token is approximated as this many characters
+CHARS_PER_TOKEN = 4
+
+# matches up to and including the last whitespace before ``endpos``
+_THROUGH_LAST_WHITESPACE = re.compile(r".*\s", re.DOTALL)
+
+
+def truncate_text(text: str, limit: int) -> str:
+    """Truncate ``text`` to ``limit`` characters at a whitespace boundary.
+
+    The cut point is the last whitespace at or before ``limit``. A first
+    token over the limit, alone or preceded only by whitespace, falls back
+    to a hard cut at ``limit``. Python slicing operates on code points, so
+    no unicode scalar is ever split. A text of at most ``limit`` characters
+    is returned as it is, so cutting twice at one limit cuts once.
+    """
+    if len(text) <= limit:
+        return text
+    m = _THROUGH_LAST_WHITESPACE.match(text, 0, limit)
+    kept = text[: m.end() - 1].rstrip() if m else ""
+    return kept or text[:limit]
+
+
+def check_passage_tokens(passage_tokens: int) -> None:
+    """Refuse a per-passage budget below one token, naming ``passage_tokens``."""
+    if passage_tokens < 1:
+        raise ValueError(f"passage_tokens must be at least 1, got {passage_tokens}")
 
 
 # ---------------------------------------------------------------------------
@@ -154,29 +192,47 @@ def _id_text_records(path: Path, id_field: str) -> Iterator[tuple[int, str, str,
         yield lineno, rid, text, title
 
 
-def load_corpus(path: str | Path, keep: Container[str] | None = None) -> dict[str, Passage]:
+def load_corpus(
+    path: str | Path, keep: Container[str] | None = None, passage_tokens: int | None = None
+) -> dict[str, Passage]:
     """Load a passage corpus from JSONL (``doc_id``/``_id``, ``text``, optional
     ``title``) or two/three column TSV (``doc_id<TAB>text[<TAB>title]``).
 
     With ``keep``, only passages whose doc_id is in ``keep`` are held; every
     line is still parsed and validated, so the file fails or loads exactly
-    as it would in full.
+    as it would in full. A mapping ``keep`` names the id object to hold: a
+    kept passage's doc_id is ``keep[doc_id]``, so the run's ``{id: id}``
+    dict makes the corpus share the run's strings.
+
+    With ``passage_tokens``, each held text is cut to that budget by
+    ``truncate_text``, as ``prompting.render`` at the same budget would cut
+    it; without, each passage keeps its full text.
 
     Raises:
         LoadError: on duplicate doc_id, missing field, or empty text, naming
             the line.
+        ValueError: on a ``passage_tokens`` below 1.
     """
     path = Path(path)
+    limit = None
+    if passage_tokens is not None:
+        check_passage_tokens(passage_tokens)
+        limit = passage_tokens * CHARS_PER_TOKEN
+    own_id = keep.__getitem__ if isinstance(keep, Mapping) else None
     corpus: dict[str, Passage] = {}
     dropped: set[str] = set()
     for lineno, doc_id, text, title in _id_text_records(path, "doc_id"):
         held = keep is None or doc_id in keep
         if doc_id in (corpus if held else dropped):
             raise LoadError(f"duplicate doc_id {doc_id} at line {lineno} of {path}")
-        if held:
-            corpus[doc_id] = Passage(doc_id, text, title)
-        else:
+        if not held:
             dropped.add(doc_id)
+            continue
+        if own_id is not None:
+            doc_id = own_id(doc_id)
+        if limit is not None and len(text) > limit:
+            text = truncate_text(text, limit)
+        corpus[doc_id] = Passage(doc_id, text, title)
     return corpus
 
 
@@ -198,11 +254,14 @@ def load_run(path: str | Path, max_depth: int = 100) -> dict[str, CandidateList]
     Ranks must be 1..N contiguous; when the file's line order disagrees with
     the ranks, the ranks win and a warning is logged. Score inversions
     (score increasing with rank) are warned about but the rank order wins.
+    A doc id listed under several queries is one string shared by all.
     """
     path = Path(path)
     if max_depth < 1:
         raise LoadError(f"max_depth must be positive, got {max_depth}")
-    raw: dict[str, dict[str, tuple[int, float]]] = {}
+    # per query: doc_id -> rank, and the scores in line order
+    raw: dict[str, tuple[dict[str, int], list[float]]] = {}
+    ids: dict[str, str] = {}
     for lineno, parts in delimited_rows(path, 6):
         qid, doc_id = parts[0], parts[2]
         try:
@@ -212,23 +271,28 @@ def load_run(path: str | Path, max_depth: int = 100) -> dict[str, CandidateList]
             raise LoadError(f"{path}: non-numeric rank/score at line {lineno}: {exc}") from exc
         entries = raw.get(qid)
         if entries is None:
-            entries = raw[qid] = {}
-        elif doc_id in entries:
+            entries = raw[qid] = ({}, [])
+        elif doc_id in entries[0]:
             raise LoadError(f"{path}: duplicate (qid, docid) ({qid}, {doc_id}) at line {lineno}")
-        entries[doc_id] = (rank, score)
+        entries[0][ids.setdefault(doc_id, doc_id)] = rank
+        entries[1].append(score)
 
     run: dict[str, CandidateList] = {}
-    for qid, by_doc in raw.items():
-        ordered = sorted(by_doc, key=lambda d: by_doc[d][0])
-        if ordered != list(by_doc):
+    for qid, (ranks, scores) in raw.items():
+        ordered = sorted(ranks, key=ranks.__getitem__)
+        if ordered != list(ranks):
             logger.warning("run %s: line order disagrees with ranks for query %s", path, qid)
-        ranks = [by_doc[d][0] for d in ordered]
-        if ranks != list(range(1, len(ranks) + 1)):
-            raise LoadError(f"{path}: non-contiguous rank sequence for query {qid}: {ranks[:8]}...")
-        for prev, cur in zip(ordered, ordered[1:]):
-            if by_doc[cur][1] > by_doc[prev][1]:
+        ranked = [ranks[d] for d in ordered]
+        if ranked != list(range(1, len(ranked) + 1)):
+            raise LoadError(f"{path}: non-contiguous rank sequence for query {qid}: {ranked[:8]}...")
+        # the ranks are 1..N, so each one places its line's score
+        by_rank = [0.0] * len(scores)
+        for rank, score in zip(ranks.values(), scores):
+            by_rank[rank - 1] = score
+        for i in range(1, len(by_rank)):
+            if by_rank[i] > by_rank[i - 1]:
                 logger.warning(
-                    "run %s: score increases with rank for query %s (doc %s)", path, qid, cur
+                    "run %s: score increases with rank for query %s (doc %s)", path, qid, ordered[i]
                 )
                 break
         run[qid] = CandidateList(query_id=qid, ids=tuple(ordered[:max_depth]))

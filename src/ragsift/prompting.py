@@ -32,7 +32,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import Passage, Query, not_utf8
+from .corpus import CHARS_PER_TOKEN, Passage, Query, check_passage_tokens, not_utf8, truncate_text
 
 
 class TemplateError(ValueError):
@@ -127,10 +127,6 @@ class PromptTemplate:
         _check_placeholders(self.instruction_text, "instruction")
 
 
-# a token is approximated as this many characters
-CHARS_PER_TOKEN = 4
-
-
 @dataclass(frozen=True)
 class RenderedPrompt:
     """A rendered window prompt: the whole description of one window a judge answers.
@@ -153,25 +149,6 @@ class RenderedPrompt:
 
     def full_text(self) -> str:
         return self.system + "\n\n" + self.user
-
-
-# matches up to and including the last whitespace before ``endpos``
-_THROUGH_LAST_WHITESPACE = re.compile(r".*\s", re.DOTALL)
-
-
-def truncate_text(text: str, limit: int) -> str:
-    """Truncate ``text`` to ``limit`` characters at a whitespace boundary.
-
-    The cut point is the last whitespace at or before ``limit``. A first
-    token over the limit, alone or preceded only by whitespace, falls back
-    to a hard cut at ``limit``. Python slicing operates on code points, so
-    no unicode scalar is ever split.
-    """
-    if len(text) <= limit:
-        return text
-    m = _THROUGH_LAST_WHITESPACE.match(text, 0, limit)
-    kept = text[: m.end() - 1].rstrip() if m else ""
-    return kept or text[:limit]
 
 
 def _numbered(template: str, slots: dict[str, int]) -> str:
@@ -213,10 +190,15 @@ def render(
 
     Passages keep their window order and are labeled [1]..[n]. Passage text
     is truncated to ``passage_tokens`` tokens of ``CHARS_PER_TOKEN``
-    characters; the query text is never truncated.
+    characters; the query text is never truncated. A passage loaded with
+    ``load_corpus(..., passage_tokens=)`` at the same budget is already cut.
+
+    Raises:
+        ValueError: on an empty window or a ``passage_tokens`` below 1.
     """
     if not window:
         raise ValueError("cannot render an empty window")
+    check_passage_tokens(passage_tokens)
     limit = passage_tokens * CHARS_PER_TOKEN
     args: list[int | str] = []
     for i, passage in enumerate(window, 1):

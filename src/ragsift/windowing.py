@@ -26,7 +26,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import Passage, Query, id_list, load_query_field
+from .corpus import Passage, Query, check_passage_tokens, id_list, load_query_field
 from .judge import Judge, JudgeTransportError, JudgeVerdict, judge_window
 from .prompting import PromptTemplate, default_templates, render
 
@@ -44,8 +44,7 @@ class WindowConfig:
     def __post_init__(self) -> None:
         if self.depth < 1 or self.window_size < 1 or self.stride < 1:
             raise ValueError("depth, window_size and stride must all be positive")
-        if self.passage_tokens < 1:
-            raise ValueError(f"passage_tokens must be at least 1, got {self.passage_tokens}")
+        check_passage_tokens(self.passage_tokens)
         if self.depth > self.window_size and self.stride >= self.window_size:
             raise ValueError(
                 f"stride ({self.stride}) must be smaller than window_size "

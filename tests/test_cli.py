@@ -319,6 +319,30 @@ class TestEvaluateCommand:
         assert capsys.readouterr().err.startswith("error: k must be in 1..")
         assert not out.exists()
 
+    def test_k_with_selection_is_refused(self, mini_dir, tmp_path, capsys):
+        selection = tmp_path / "selected.jsonl"
+        selection.write_text('{"query_id": "q1", "selected": ["d1"]}\n', encoding="utf-8")
+        out = tmp_path / "eval"
+        code = main(
+            [
+                "evaluate",
+                "--selection",
+                str(selection),
+                "--run",
+                str(mini_dir / "run.trec"),
+                "--qrels",
+                str(mini_dir / "qrels.txt"),
+                "--k",
+                "3",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--k" in err and "--selection" in err
+        assert not out.exists()
+
 
 class TestAnnotateCommand:
     def test_oracle_ranking_annotation(self, mini_dir, tmp_path):
@@ -567,6 +591,29 @@ class TestReferencedCorpus:
         assert main([*head, *_mini_flags(padded), "--out", str(tmp_path / "out")]) == 0
         run = load_run(padded / "run.trec", max_depth=depth)
         assert len(loaded[0]) == len({d for cl in run.values() for d in cl.doc_ids()})
+
+    @pytest.mark.parametrize("name", sorted(BATCH_COMMANDS))
+    def test_corpus_shares_run_ids_and_is_cut_to_the_budget(
+        self, mini_dir, tmp_path, monkeypatch, name
+    ):
+        seen, real_run_batch = [], cli.run_batch
+
+        def spy(engine, queries, run, corpus, *rest):
+            seen.append((run, corpus))
+            return real_run_batch(engine, queries, run, corpus, *rest)
+
+        monkeypatch.setattr(cli, "run_batch", spy)
+        head, _ = BATCH_COMMANDS[name]
+        flags = ["--passage-tokens", "8", "--out", str(tmp_path / "out")]
+        assert main([*head, *_mini_flags(mini_dir), *flags]) == 0
+        (run, corpus), = seen
+        keys = {id(k): k for k in corpus}
+        ids = [d for cl in run.values() for d in cl.ids]
+        assert all(id(d) in keys and corpus[d].doc_id is d for d in ids)
+        assert len(keys) == len(set(ids))
+        full = load_corpus(mini_dir / "corpus.jsonl")
+        assert all(len(p.text) <= 8 * 4 for p in corpus.values())
+        assert any(len(full[d].text) > 8 * 4 for d in corpus)
 
     @pytest.mark.parametrize("command", ["rerank", "select", "annotate"])
     def test_run_id_missing_from_corpus_exits_1(self, mini_dir, tmp_path, capsys, command):

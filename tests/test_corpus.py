@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import json
 import logging
+import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 from ragsift.corpus import (
     CandidateList,
@@ -21,8 +25,9 @@ from ragsift.corpus import (
 )
 from ragsift.judge import TranscriptJudge
 from ragsift.metrics import load_predictions
+from ragsift.prompting import PromptTemplate, default_templates, render
 from ragsift.windowing import read_selection_file
-from tests.conftest import make_candidates
+from tests.conftest import QUERY, make_candidates
 
 
 def _write(tmp_path, name, text):
@@ -83,6 +88,8 @@ KEEPS = [{"d1", "d2"}, {"d1", "d2", "d9"}]
 
 
 class TestLoadCorpusKeep:
+    budget = None  # the passage_tokens of every load
+
     @pytest.mark.parametrize("keep", KEEPS, ids=["d9-dropped", "d9-kept"])
     @pytest.mark.parametrize(
         "line",
@@ -100,28 +107,112 @@ class TestLoadCorpusKeep:
         with pytest.raises(LoadError) as full:
             load_corpus(path)
         with pytest.raises(LoadError) as kept:
-            load_corpus(path, keep=keep)
+            load_corpus(path, keep=keep, passage_tokens=self.budget)
         assert str(kept.value) == str(full.value)
         assert "line 5" in str(kept.value)
 
     def test_tsv_duplicate_among_dropped(self, tmp_path):
         path = _write(tmp_path, "c.tsv", "d1\tone\nd2\ttwo\nd2\tagain\n")
         with pytest.raises(LoadError, match="duplicate doc_id d2 at line 3"):
-            load_corpus(path, keep={"d1"})
+            load_corpus(path, keep={"d1"}, passage_tokens=self.budget)
 
     def test_holds_exactly_the_kept_passages(self, tmp_path):
         path = _write(tmp_path, "c.jsonl", CORPUS_LINES)
-        full = load_corpus(path)
-        kept = load_corpus(path, keep={"d2", "d4", "absent"})
+        full = load_corpus(path, passage_tokens=self.budget)
+        kept = load_corpus(path, keep={"d2", "d4", "absent"}, passage_tokens=self.budget)
         assert len(kept) == 2
         assert "d1" not in kept and "d3" not in kept and "absent" not in kept
         assert kept["d2"] == full["d2"] and kept["d4"] == full["d4"]
 
     def test_keep_none_loads_everything(self, tmp_path):
         path = _write(tmp_path, "c.jsonl", CORPUS_LINES)
-        full, everything = load_corpus(path), load_corpus(path, keep=None)
+        full = load_corpus(path, passage_tokens=self.budget)
+        everything = load_corpus(path, keep=None, passage_tokens=self.budget)
         assert len(everything) == len(full) == 4
         assert all(everything[f"d{i}"] == full[f"d{i}"] for i in range(1, 5))
+
+
+class TestLoadCorpusBudget(TestLoadCorpusKeep):
+    """Loads with a ``passage_tokens`` budget: every keep test again at 4 characters, which
+    cut "text 1" to "text", then the cut itself."""
+
+    budget = 1
+
+    def test_holds_the_kept_passages_cut_to_the_budget(self, tmp_path):
+        path = _write(tmp_path, "c.jsonl", CORPUS_LINES)
+        kept = load_corpus(path, keep={"d2", "d4", "absent"}, passage_tokens=self.budget)
+        assert kept == {"d2": Passage("d2", "text"), "d4": Passage("d4", "text")}
+
+    @pytest.mark.parametrize("tokens", [0, -3])
+    def test_budget_below_one_refused(self, tmp_path, tokens):
+        path = _write(tmp_path, "c.jsonl", CORPUS_LINES)
+        with pytest.raises(ValueError, match=f"passage_tokens must be at least 1, got {tokens}"):
+            load_corpus(path, passage_tokens=tokens)
+
+    def test_mapping_keep_names_the_held_id_object(self, tmp_path):
+        path = _write(tmp_path, "c.jsonl", CORPUS_LINES)
+        ids = {d: d for d in (f"d{i}" for i in (1, 3, 7))}
+        corpus = load_corpus(path, keep=ids)
+        assert sorted(corpus) == ["d1", "d3"]
+        for key, passage in corpus.items():
+            assert key is ids[key] and passage.doc_id is ids[key]
+
+    # ASCII and Unicode whitespace (U+3000 is whitespace, U+200B is not) and non-ASCII letters
+    _ALPHABET = "ab  \t\u3000\u200bé中🙂"
+
+    # each example rewrites the one file it loads, so a shared tmp_path is safe
+    @settings(
+        max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        text=st.text(alphabet=_ALPHABET, min_size=1, max_size=40),
+        title=st.none() | st.text(alphabet="Tt é", min_size=1, max_size=5),
+        tokens=st.integers(1, 6),
+        tsv=st.booleans(),
+    )
+    @example(text="ab cd", title=None, tokens=2, tsv=False)  # under the budget
+    @example(text="abcd efgh", title=None, tokens=2, tsv=True)  # one over: the cut falls at the space
+    @example(text="abcdefgh", title="T", tokens=2, tsv=True)  # exactly at the budget
+    @example(text="  " + "x" * 20, title=None, tokens=2, tsv=False)  # leading whitespace
+    @example(text="x" * 20 + " y", title="T", tokens=2, tsv=True)  # first token over the limit
+    @example(text="é中 🙂" * 9, title="中", tokens=3, tsv=False)
+    def test_render_of_budgeted_load_matches_full_text(self, tmp_path, text, title, tokens, tsv):
+        if tsv:
+            text = text.replace("\t", " ")  # a TSV text column holds no tab
+        assume(text.strip())  # whitespace-only text does not load
+        if tsv:
+            name, line = "c.tsv", "\t".join(["d1", text, title or ""])
+        else:
+            name, line = "c.jsonl", json.dumps({"doc_id": "d1", "text": text, "title": title})
+        path = _write(tmp_path, name, line + "\n")
+        full = load_corpus(path)["d1"]
+        cut = load_corpus(path, keep={"d1": "d1"}, passage_tokens=tokens)["d1"]
+        assert full.text == text and cut.title == full.title
+        assert len(cut.text) <= tokens * 4
+        ranking, _ = default_templates()
+        titled = PromptTemplate("ranking", "s", "[{index}] {title}: {text}", "{query} {count}")
+        for template in (ranking, titled):
+            assert render(template, QUERY, [cut], tokens) == render(template, QUERY, [full], tokens)
+
+    def test_budget_bounds_held_text_memory(self, tmp_path):
+        # 2,000 passages of 400 ASCII characters; a budget of 8 tokens keeps 29 of each, so
+        # the cut tails come to 2,000 x 371 bytes, and the bound leaves 3 bytes a passage of slack
+        words = " ".join(["abcdefghi"] * 40)[:400]
+        lines = "".join(json.dumps({"doc_id": f"d{i}", "text": words}) + "\n" for i in range(2000))
+        path = _write(tmp_path, "c.jsonl", lines)
+
+        def traced_size(**kwargs) -> int:
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                corpus = load_corpus(path, **kwargs)
+                size = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert len(corpus) == 2000
+            return size
+
+        assert traced_size() - traced_size(passage_tokens=8) >= 2000 * 368
 
 
 class TestLoadRun:
@@ -192,6 +283,69 @@ class TestLoadRun:
         assert trec_lines("q1", doc_ids, "tag") == expected
         # a shorter ranking after a longer one gets only its own lines
         assert trec_lines("q1", doc_ids[:3], "tag") == "".join(expected.splitlines(True)[:3])
+
+
+# pinned before the loader was rewritten: a shuffled, depth-cut run with a
+# score inversion past the cut, and a run whose ranks skip one
+SHUFFLED_RUN = (
+    "q2 Q0 d3 2 4.0 bm25\n"
+    "q1 Q0 d5 3 7.5 bm25\n"
+    "q1 Q0 d1 1 9.0 bm25\n"
+    "q2 Q0 d1 1 5.0 bm25\n"
+    "q1 Q0 d6 5 8.0 bm25\n"
+    "q1 Q0 d2 2 8.5 bm25\n"
+    "q1 Q0 d4 4 7.0 bm25\n"
+    "q1 Q0 d3 6 1.0 bm25\n"
+    "q3 Q0 d9 1 2.0 bm25\n"
+    "q3 Q0 d8 2 2.5 bm25\n"
+)
+GAPPED_RUN = (
+    "q1 Q0 d2 2 2.0 x\n"
+    "q1 Q0 d1 1 3.0 x\n"
+    "q2 Q0 d1 1 3.0 x\n"
+    "q2 Q0 d4 4 1.0 x\n"
+    "q2 Q0 d2 2 2.0 x\n"
+)
+
+
+def _warnings(caplog, path):
+    return [(r.name, r.levelname, r.getMessage().replace(str(path), "PATH")) for r in caplog.records]
+
+
+class TestLoadRunPinned:
+    def test_shuffled_depth_cut_run(self, tmp_path, caplog):
+        path = _write(tmp_path, "r.trec", SHUFFLED_RUN)
+        with caplog.at_level(logging.WARNING):
+            run = load_run(path, max_depth=4)
+        assert run == {
+            "q2": CandidateList("q2", ("d1", "d3")),
+            "q1": CandidateList("q1", ("d1", "d2", "d5", "d4")),
+            "q3": CandidateList("q3", ("d9", "d8")),
+        }
+        assert list(run) == ["q2", "q1", "q3"]
+        assert run["q1"].doc_ids() == ["d1", "d2", "d5", "d4"]
+        assert _warnings(caplog, path) == [
+            ("ragsift.corpus", "WARNING", "run PATH: line order disagrees with ranks for query q2"),
+            ("ragsift.corpus", "WARNING", "run PATH: line order disagrees with ranks for query q1"),
+            # d6 is ranked past the cut, but the inversion check sees the whole list
+            ("ragsift.corpus", "WARNING", "run PATH: score increases with rank for query q1 (doc d6)"),
+            ("ragsift.corpus", "WARNING", "run PATH: score increases with rank for query q3 (doc d8)"),
+        ]
+
+    def test_one_string_per_doc_id(self, tmp_path):
+        run = load_run(_write(tmp_path, "r.trec", SHUFFLED_RUN + SHUFFLED_RUN.replace("q", "p")))
+        ids = [d for cl in run.values() for d in cl.ids]
+        assert len({id(d) for d in ids}) == len(set(ids)) < len(ids)
+
+    def test_non_contiguous_ranks_after_warnings(self, tmp_path, caplog):
+        path = _write(tmp_path, "r.trec", GAPPED_RUN)
+        with caplog.at_level(logging.WARNING), pytest.raises(LoadError) as exc:
+            load_run(path)
+        assert str(exc.value) == f"{path}: non-contiguous rank sequence for query q2: [1, 2, 4]..."
+        assert _warnings(caplog, path) == [
+            ("ragsift.corpus", "WARNING", "run PATH: line order disagrees with ranks for query q1"),
+            ("ragsift.corpus", "WARNING", "run PATH: line order disagrees with ranks for query q2"),
+        ]
 
 
 class TestLoadQrels:

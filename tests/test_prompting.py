@@ -123,6 +123,12 @@ class TestRender:
         with pytest.raises(ValueError, match="empty window"):
             render(ranking, QUERY, [])
 
+    @pytest.mark.parametrize("tokens", [0, -1])
+    def test_budget_below_one_refused(self, tokens):
+        ranking, _ = default_templates()
+        with pytest.raises(ValueError, match=f"passage_tokens must be at least 1, got {tokens}"):
+            render(ranking, QUERY, make_passages(1), passage_tokens=tokens)
+
     def test_doc_ids_follow_window_order(self):
         ranking, _ = default_templates()
         window = [Passage("b", "x"), Passage("a", "y")]
