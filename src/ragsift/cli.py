@@ -308,12 +308,9 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = WindowConfig(depth=args.depth, window_size=args.w, stride=args.s)
-    profile, observed = parse_profile_spec(args.profile, cfg.depth)
-    sim = simulate(cfg, profile, trials=args.trials, seed=args.seed)
-    doc = sim.to_json_dict()
-    doc["ranking_windows"] = ranking_cost(cfg)
-    if observed is not None:
-        doc["observed_windows"] = observed
+    rows, fields = parse_profile_spec(args.profile, cfg.depth, args.trials, args.seed)
+    sim = simulate(cfg, rows)
+    doc = {**sim.to_json_dict(), "ranking_windows": ranking_cost(cfg), **fields}
     out = _out_dir(args)
     (out / "cost_report.json").write_text(
         json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -321,8 +318,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _write_manifest(args, ["profile"], out)
     print(sim.table())
     print(f"ranking windows (fixed)  {doc['ranking_windows']}")
-    if observed is not None:
-        print(f"observed windows  {observed:.4f}")
+    if "observed_windows" in doc:
+        print(f"observed windows  {doc['observed_windows']:.4f}")
+        print(f"carried dropped share  {doc['carried_dropped_share']:.4f}")
     return 0
 
 
@@ -415,16 +413,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_judge_flags(p)
     p.set_defaults(func=cmd_annotate)
 
-    p = sub.add_parser("simulate", help="Monte Carlo window-count simulation")
+    p = sub.add_parser("simulate", help="selection window counts at a geometry, replayed from a profile")
     _add_window_flags(p)
     p.add_argument(
         "--profile",
         required=True,
-        help="fresh passages selected per window: never, always, bernoulli:P, or a "
-        "select trace.jsonl (counts drawn per window index)",
+        help="which candidates are useful: never, always, bernoulli:P, or a select "
+        "trace.jsonl (its queries' selections replayed at this geometry)",
     )
-    p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=int, default=10000, help="bernoulli rows drawn (not read for a trace)")
+    p.add_argument("--seed", type=int, default=0, help="bernoulli draw seed (not read for a trace)")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_simulate)
 

@@ -1,91 +1,89 @@
-"""Monte Carlo and closed-form accounting of sliding-window inference cost.
+"""Replayed and closed-form accounting of sliding-window inference cost.
 
-The selection engine's window count depends on how much the queue grows, so
-it is simulated: each trial replays the window-advance arithmetic (carry
-``min(stride, queue_len)`` queue members, fill with fresh candidates) and
-grows the queue by the fresh passages each window selects, a count drawn
-from a profile. The ranking engine's cost is fixed by geometry alone.
+A profile is one row of useful-flags per query, one flag per candidate rank.
+Each row is replayed through the selection engine's window arithmetic: carry
+``min(stride, queue_len)`` queue members, fill the window with the next fresh
+candidates, and grow the queue by the flagged ones among them. A ``select``
+trace gives the flags its judge chose, so one trace predicts any window size
+and stride, assuming that a passage's usefulness does not depend on the other
+passages in its window; ``bernoulli:P`` draws them. The ranking engine's cost
+is fixed by geometry alone.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import random
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Sequence
 
 from .corpus import LoadError, id_list, jsonl_records
 from .windowing import WindowConfig, plan_ranking_windows, window_count_bounds
 
 
-@dataclass(frozen=True)
-class SelectionProfile:
-    """Distribution over the count of fresh passages selected per window.
+def profile_from_trace(path: str | Path, depth: int) -> tuple[list[list[bool]], float, float]:
+    """Read one row of useful-flags per query from a ``select`` trace.
 
-    With ``by_window`` empty, each fresh passage is selected independently
-    with probability ``p``. Otherwise window ``i`` draws a count uniformly
-    from ``by_window[i]``, the counts observed at that window index (the last
-    entry past its end), clamped to the window's fresh count.
-    """
+    A fresh id is useful if the window that brought it in selected it; a
+    query's row is its windows' fresh flags, in rank order. Only queries
+    whose windows hold ``depth`` fresh candidates count, so partial traces of
+    aborted queries are left out. Returns those queries' rows, their mean
+    window count, and the share of their carried passages that the window
+    did not select again (0.0 when none were carried). The replay treats that
+    share as 0, so a high one says the prediction is optimistic.
 
-    p: float = 0.0
-    by_window: tuple[tuple[int, ...], ...] = ()
-
-    @staticmethod
-    def bernoulli(p: float) -> "SelectionProfile":
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"bernoulli probability must be in [0, 1], got {p}")
-        return SelectionProfile(p=p)
-
-    def draw(self, rng: random.Random, window: int, fresh: int) -> int:
-        if self.by_window:
-            return min(rng.choice(self.by_window[min(window, len(self.by_window) - 1)]), fresh)
-        return sum(1 for _ in range(fresh) if rng.random() < self.p)
-
-
-def profile_from_trace(path: str | Path, depth: int) -> tuple[SelectionProfile, float]:
-    """Measure a per-window-index profile from a ``select`` trace.
-
-    Each window counts the ids it selected after its carried ones; the counts
-    are grouped by the window's index within its query. Only queries whose
-    windows hold ``depth`` fresh candidates count, so partial traces of
-    aborted queries are left out. Returns the profile and the mean window
-    count of those queries. A record that is not a selection window (its
-    ``carried`` and ``fresh`` lists of ids, its ``verdict.selected`` a list
-    of integers), or a trace in which no query saw ``depth`` candidates, is
-    a ``LoadError``.
+    A record that is not a selection window (its ``carried`` and ``fresh``
+    lists of ids, its ``verdict.selected`` a list of distinct window
+    positions), or a trace in which no query saw ``depth`` candidates, is a
+    ``LoadError``.
     """
     path = Path(path)
-    picked: dict[str, list[int]] = {}  # query id -> fresh ids selected per window
-    seen: Counter[str] = Counter()  # query id -> fresh candidates judged
+    rows: dict[str, list[bool]] = {}  # query id -> useful-flag per fresh candidate judged
+    windows: Counter[str] = Counter()
+    carried_seen: Counter[str] = Counter()
+    carried_dropped: Counter[str] = Counter()
     for lineno, rec in jsonl_records(path):
         try:
             carried, fresh = id_list(rec["carried"]), id_list(rec["fresh"])
             selected = rec["verdict"]["selected"]
-            if not isinstance(selected, list) or not all(type(i) is int for i in selected):
-                raise ValueError("selected must be a list of integers")
-            picked.setdefault(rec["query_id"], []).append(sum(i > len(carried) for i in selected))
-            seen[rec["query_id"]] += len(fresh)
+            n = len(carried) + len(fresh)
+            chosen = set(selected)
+            if len(chosen) < len(selected) or not all(type(i) is int and 0 < i <= n for i in chosen):
+                raise ValueError("selected must list distinct window positions")
+            qid = rec["query_id"]
+            rows.setdefault(qid, []).extend(i in chosen for i in range(len(carried) + 1, n + 1))
+            windows[qid] += 1
+            carried_seen[qid] += len(carried)
+            carried_dropped[qid] += len(carried) - sum(i <= len(carried) for i in chosen)
         except (KeyError, TypeError, ValueError):
             raise LoadError(f"{path}: line {lineno} is not a selection window") from None
-    complete = [counts for qid, counts in picked.items() if seen[qid] == depth]
+    complete = [qid for qid, row in rows.items() if len(row) == depth]
     if not complete:
         raise LoadError(f"{path}: no query in the trace saw --depth {depth} candidates")
-    by_window = tuple(
-        tuple(sorted(counts[i] for counts in complete if i < len(counts)))
-        for i in range(max(map(len, complete)))
+    carried_total = sum(carried_seen[qid] for qid in complete)
+    dropped = sum(carried_dropped[qid] for qid in complete)
+    return (
+        [rows[qid] for qid in complete],
+        sum(windows[qid] for qid in complete) / len(complete),
+        dropped / carried_total if carried_total else 0.0,
     )
-    return SelectionProfile(by_window=by_window), sum(map(len, complete)) / len(complete)
 
 
-def parse_profile_spec(spec: str, depth: int) -> tuple[SelectionProfile, float | None]:
+def parse_profile_spec(
+    spec: str, depth: int, trials: int, seed: int
+) -> tuple[Iterable[Sequence[bool]], dict]:
     """Parse a CLI profile spec: never, always, bernoulli:P, or a ``select``
     trace path.
 
-    ``never`` is ``bernoulli:0`` and ``always`` is ``bernoulli:1``. Any
-    existing file is read as a trace. Returns the profile and, for a trace,
-    the mean window count it observed.
+    ``never`` is ``bernoulli:0`` and ``always`` is ``bernoulli:1``. A
+    bernoulli form draws ``trials`` rows of ``depth`` flags in rank order from
+    ``random.Random(seed)``. Any existing file is read as a trace, one row per
+    complete query; ``trials`` and ``seed`` are not read. Returns the rows
+    and the fields they add to the cost report: ``seed`` (``None`` for a
+    trace) and, for a trace, ``observed_windows`` and ``carried_dropped_share``.
 
     Raises:
         ValueError: naming the spec and the accepted forms, for a bernoulli
@@ -96,12 +94,15 @@ def parse_profile_spec(spec: str, depth: int) -> tuple[SelectionProfile, float |
     """
     form = {"never": "bernoulli:0", "always": "bernoulli:1"}.get(spec, spec)
     if form.startswith("bernoulli:"):
-        try:
-            return SelectionProfile.bernoulli(float(form.split(":", 1)[1])), None
-        except ValueError:
-            pass
+        with contextlib.suppress(ValueError):
+            p = float(form.split(":", 1)[1])
+            if 0.0 <= p <= 1.0:
+                rng = random.Random(seed)
+                rows = ([rng.random() < p for _ in range(depth)] for _ in range(trials))
+                return rows, {"seed": seed}
     elif Path(spec).is_file():
-        return profile_from_trace(spec, depth)
+        rows, observed, dropped = profile_from_trace(spec, depth)
+        return rows, {"seed": None, "observed_windows": observed, "carried_dropped_share": dropped}
     raise ValueError(
         f"--profile {spec!r} is not one of: never, always, bernoulli:P with 0 <= P <= 1, "
         "or a select trace.jsonl"
@@ -114,7 +115,6 @@ class SimulationReport:
     ci95: tuple[float, float]
     histogram: dict[int, int]
     trials: int
-    seed: int
     bounds: tuple[int, int]
 
     def to_json_dict(self) -> dict:
@@ -123,7 +123,6 @@ class SimulationReport:
             "ci95": list(self.ci95),
             "histogram": {str(k): v for k, v in sorted(self.histogram.items())},
             "trials": self.trials,
-            "seed": self.seed,
             "bounds": list(self.bounds),
         }
 
@@ -140,32 +139,27 @@ class SimulationReport:
         return "\n".join(lines)
 
 
-def _one_trial(cfg: WindowConfig, profile: SelectionProfile, rng: random.Random) -> int:
-    remaining = cfg.depth
-    queue_len = 0
-    windows = 0
-    while remaining > 0:
-        fresh = min(cfg.window_size - min(cfg.stride, queue_len), remaining)
-        queue_len += profile.draw(rng, windows, fresh)
-        remaining -= fresh
+def _windows(cfg: WindowConfig, flags: Sequence[bool]) -> int:
+    pos = queue_len = windows = 0
+    while pos < cfg.depth:
+        fresh = cfg.window_size - min(cfg.stride, queue_len)
+        queue_len += sum(flags[pos : pos + fresh])
+        pos += fresh
         windows += 1
     return windows
 
 
-def simulate(
-    cfg: WindowConfig, profile: SelectionProfile, trials: int, seed: int
-) -> SimulationReport:
-    """Estimate the selection engine's window count distribution.
+def simulate(cfg: WindowConfig, rows: Iterable[Sequence[bool]]) -> SimulationReport:
+    """The selection engine's window count distribution over rows of
+    useful-flags, one trial per row of ``cfg.depth`` flags.
 
-    The profile drives fresh passages only: each window's draw is the count
-    of queue members it adds. Fixed seed implies an identical histogram.
+    A carried passage is already in the queue, so only the flags of fresh
+    candidates grow it.
     """
+    counts = Counter(_windows(cfg, flags) for flags in rows)
+    trials = counts.total()
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = random.Random(seed)
-    counts: Counter[int] = Counter()
-    for _ in range(trials):
-        counts[_one_trial(cfg, profile, rng)] += 1
 
     mean = sum(k * v for k, v in counts.items()) / trials
     var = sum(v * (k - mean) ** 2 for k, v in counts.items()) / trials
@@ -175,7 +169,6 @@ def simulate(
         ci95=(mean - half, mean + half),
         histogram=dict(counts),
         trials=trials,
-        seed=seed,
         bounds=window_count_bounds(cfg),
     )
 

@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 from ragsift.corpus import CandidateList, Passage, Query
-from ragsift.costsim import SelectionProfile
 from ragsift.data import mini_dataset_dir
 from ragsift.judge import (
     SELECTION,
@@ -134,13 +133,10 @@ def random_unicode(rng: random.Random, max_len: int = 60) -> str:
     return " ".join(chunks)
 
 
-def random_profile(rng: random.Random, window_size: int) -> SelectionProfile:
-    """A profile of one to nine window indices, each a few counts drawn from one random support."""
-    support = rng.sample(range(window_size + 1), rng.randint(1, 6))
-    weights = [rng.random() for _ in support]
-    return SelectionProfile(
-        by_window=tuple(
-            tuple(rng.choices(support, weights, k=rng.randint(1, 5)))
-            for _ in range(rng.randint(1, 9))
-        )
-    )
+def random_flag_rows(rng: random.Random, depth: int, n: int) -> list[list[bool]]:
+    """``n`` rows of ``depth`` useful-flags, each row at its own random density."""
+    rows = []
+    for _ in range(n):
+        density = rng.random()
+        rows.append([rng.random() < density for _ in range(depth)])
+    return rows

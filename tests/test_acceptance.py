@@ -21,7 +21,7 @@ from ragsift.annotate import (
 )
 from ragsift.cli import main
 from ragsift.corpus import evidence_from_qrels, load_qrels, load_run
-from ragsift.costsim import SelectionProfile, simulate
+from ragsift.costsim import parse_profile_spec, simulate
 from ragsift.judge import (
     RANKING,
     SELECTION,
@@ -46,7 +46,7 @@ from tests.conftest import (
     FuzzJudge,
     make_passages,
     make_qrels,
-    random_profile,
+    random_flag_rows,
     random_unicode,
 )
 from tests.test_metrics import brute_force_ndcg
@@ -72,9 +72,9 @@ def test_criterion_2_selection_cost_bounds():
     lo, hi = window_count_bounds(cfg)
     assert (lo, hi) == (5, 9)
 
-    never = simulate(cfg, SelectionProfile.bernoulli(0.0), trials=2000, seed=1)
+    never = simulate(cfg, parse_profile_spec("never", cfg.depth, 2000, 1)[0])
     assert never.mean_windows == float(lo) and never.histogram == {5: 2000}
-    always = simulate(cfg, SelectionProfile.bernoulli(1.0), trials=2000, seed=1)
+    always = simulate(cfg, parse_profile_spec("always", cfg.depth, 2000, 1)[0])
     assert always.mean_windows == float(hi) and always.histogram == {9: 2000}
 
     rng = random.Random(2024)
@@ -82,10 +82,11 @@ def test_criterion_2_selection_cost_bounds():
     while trials_done < 10_000:
         kind = rng.random()
         if kind < 0.4:
-            profile = SelectionProfile.bernoulli(rng.random())
+            spec = f"bernoulli:{rng.random()}"
+            rows, _ = parse_profile_spec(spec, cfg.depth, 500, rng.randint(0, 10_000))
         else:
-            profile = random_profile(rng, cfg.window_size)
-        report = simulate(cfg, profile, trials=500, seed=rng.randint(0, 10_000))
+            rows = random_flag_rows(rng, cfg.depth, 500)
+        report = simulate(cfg, rows)
         assert all(lo <= count <= hi for count in report.histogram)
         trials_done += report.trials
 

@@ -445,6 +445,23 @@ class TestSimulateCommand:
         pinned = json.dumps(report, indent=2, sort_keys=True) + "\n"
         assert (out / "cost_report.json").read_bytes() == pinned.encode()
 
+    def test_bernoulli_report_is_pinned(self, tmp_path):
+        out = tmp_path / "sim"
+        profile = ["--profile", "bernoulli:0.2", "--trials", "1000", "--seed", "7"]
+        assert main(["simulate", *profile, "--out", str(out)]) == 0
+        # the seeded draws, byte for byte at the default geometry
+        report = {
+            "bounds": [5, 9],
+            "ci95": [8.405567027347537, 8.480432972652462],
+            "histogram": {"6": 3, "7": 50, "8": 448, "9": 499},
+            "mean_windows": 8.443,
+            "ranking_windows": 9,
+            "seed": 7,
+            "trials": 1000,
+        }
+        pinned = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        assert (out / "cost_report.json").read_bytes() == pinned.encode()
+
     @pytest.mark.parametrize(
         "spec", ["bernoulli:abc", "bernoulli:1.5", "bernoulli:nan", "nevr", "missing.json"]
     )
@@ -464,16 +481,18 @@ class TestSimulateCommand:
         out = tmp_path / "sim"
         profile = ["--profile", str(run / "trace.jsonl"), "--trials", "500", "--seed", "0"]
         assert main(["simulate", *geometry, *profile, "--out", str(out)]) == 0
-        # pinned byte for byte: the draw per window index, for a fixed trace and seed
+        # pinned byte for byte: each of the 20 queries replayed once, so the
+        # trace's own geometry is predicted exactly and the seed is not read
         report = {
             "bounds": [3, 4],
-            "ci95": [3.54485719875576, 3.63114280124424],
-            "histogram": {"3": 206, "4": 294},
-            "mean_windows": 3.588,
+            "carried_dropped_share": 0.0,
+            "ci95": [3.4409588557245248, 3.859041144275475],
+            "histogram": {"3": 7, "4": 13},
+            "mean_windows": 3.65,
             "observed_windows": 3.65,
             "ranking_windows": 4,
-            "seed": 0,
-            "trials": 500,
+            "seed": None,
+            "trials": 20,
         }
         pinned = json.dumps(report, indent=2, sort_keys=True) + "\n"
         assert (out / "cost_report.json").read_bytes() == pinned.encode()
@@ -536,6 +555,7 @@ class TestSimulateCommand:
             for line in (run / "selected.jsonl").read_text(encoding="utf-8").splitlines()
         ]
         assert report["observed_windows"] == sum(windows) / len(windows)
+        assert report["mean_windows"] == report["observed_windows"]
         lo, hi = report["bounds"]
         assert lo <= report["mean_windows"] <= hi and report["ranking_windows"] == 4
 
