@@ -25,6 +25,7 @@ from .annotate import TRAINING_FILES, annotate_query, training_line
 from .corpus import (
     CandidateList,
     LoadError,
+    check_passage_tokens,
     evidence_from_qrels,
     load_answers,
     load_corpus,
@@ -120,9 +121,7 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 
 def _window_cfg(args: argparse.Namespace) -> WindowConfig:
-    return WindowConfig(
-        depth=args.depth, window_size=args.w, stride=args.s, passage_tokens=args.passage_tokens
-    )
+    return WindowConfig(depth=args.depth, window_size=args.w, stride=args.s)
 
 
 def _report_failures(failures: list[QueryFailure]) -> int:
@@ -133,16 +132,17 @@ def _report_failures(failures: list[QueryFailure]) -> int:
     return 0
 
 
-def _load_batch_inputs(args: argparse.Namespace, passage_tokens: int):
+def _load_batch_inputs(args: argparse.Namespace):
     """Load what every batch command judges: queries, run, corpus, judge and templates.
 
-    The run is read first, so the corpus holds only the passages it references,
-    keyed by the run's own id strings, with text cut to the ``passage_tokens``
-    budget the windows render at.
+    A ``--passage-tokens`` below 1 fails before any file is read. The run is
+    read first, so the corpus holds only the passages it references, keyed by
+    the run's own id strings, with text cut to ``--passage-tokens``.
     """
+    check_passage_tokens(args.passage_tokens)
     run = load_run(args.run, max_depth=args.depth)
     ids = {d: d for cl in run.values() for d in cl.ids}
-    corpus = load_corpus(args.corpus, keep=ids, passage_tokens=passage_tokens)
+    corpus = load_corpus(args.corpus, keep=ids, passage_tokens=args.passage_tokens)
     queries = load_queries(args.queries)
     qrels = load_qrels(args.qrels) if args.qrels else None
     judge = _build_judge(args, qrels)
@@ -184,7 +184,7 @@ def _stream_batch(
     queries follow, in query_id order. Returns the output directory, the
     queries written, the lines written to each output, and the failures.
     """
-    queries, run, corpus, judge, templates = _load_batch_inputs(args, cfg.passage_tokens)
+    queries, run, corpus, judge, templates = _load_batch_inputs(args)
     trace = getattr(args, "trace", False)  # annotate writes no trace
     done, counts, failures = 0, [0] * len(outputs), []
     with closing(judge):
@@ -298,7 +298,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     out, done, (passed, rejected), _ = _stream_batch(
         args,
         partial(annotate_query, kind=args.kind),
-        WindowConfig(depth=args.depth, window_size=args.w, passage_tokens=args.passage_tokens),
+        WindowConfig(depth=args.depth, window_size=args.w),
         TRAINING_FILES,
         lambda qid, records: map(training_line, records),
     )
@@ -309,6 +309,8 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = WindowConfig(depth=args.depth, window_size=args.w, stride=args.s)
     rows, fields = parse_profile_spec(args.profile, cfg.depth, args.trials, args.seed)
+    if fields["seed"] is None:
+        args.trials = args.seed = None  # a trace reads neither, so the manifest records neither
     sim = simulate(cfg, rows)
     doc = {**sim.to_json_dict(), "ranking_windows": ranking_cost(cfg), **fields}
     out = _out_dir(args)

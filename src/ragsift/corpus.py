@@ -5,12 +5,11 @@ map query_id to ``{doc_id: grade}``; a (query, doc) pair absent from them
 has grade 0, so read a grade with ``qrels.get(qid, {}).get(doc_id, 0)``.
 
 Each input is held once, in the form the windows read it. A run holds one
-string per distinct doc id across its queries. A corpus loaded with a
-``passage_tokens`` budget holds each passage's text already cut by
-``truncate_text``, the rule ``prompting.render`` applies; since cutting is
-idempotent, rendering at that same budget gives the prompts the full text
-would. Given the run's ``{id: id}`` dict as ``keep``, the corpus keys each
-passage by the run's own id string.
+string per distinct doc id across its queries. The passage budget is applied
+here and only here: a corpus loaded with ``passage_tokens`` holds each text
+cut by ``truncate_text``, and ``prompting.render`` formats it as held. Given
+the run's ``{id: id}`` dict as ``keep``, the corpus keys each passage by the
+run's own id string.
 
 Everything here is read once at pipeline start and treated as immutable
 afterwards, so loaded structures are safe to share across concurrent
@@ -79,7 +78,7 @@ def truncate_text(text: str, limit: int) -> str:
     token over the limit, alone or preceded only by whitespace, falls back
     to a hard cut at ``limit``. Python slicing operates on code points, so
     no unicode scalar is ever split. A text of at most ``limit`` characters
-    is returned as it is, so cutting twice at one limit cuts once.
+    is returned as it is.
     """
     if len(text) <= limit:
         return text
@@ -204,9 +203,9 @@ def load_corpus(
     kept passage's doc_id is ``keep[doc_id]``, so the run's ``{id: id}``
     dict makes the corpus share the run's strings.
 
-    With ``passage_tokens``, each held text is cut to that budget by
-    ``truncate_text``, as ``prompting.render`` at the same budget would cut
-    it; without, each passage keeps its full text.
+    With ``passage_tokens``, each held text is cut to that many tokens of
+    ``CHARS_PER_TOKEN`` characters by ``truncate_text``; without, each
+    passage keeps its full text.
 
     Raises:
         LoadError: on duplicate doc_id, missing field, or empty text, naming

@@ -13,6 +13,7 @@ is fixed by geometry alone.
 from __future__ import annotations
 
 import contextlib
+import logging
 import math
 import random
 from collections import Counter
@@ -23,6 +24,8 @@ from typing import Iterable, Sequence
 from .corpus import LoadError, id_list, jsonl_records
 from .windowing import WindowConfig, plan_ranking_windows, window_count_bounds
 
+logger = logging.getLogger(__name__)
+
 
 def profile_from_trace(path: str | Path, depth: int) -> tuple[list[list[bool]], float, float]:
     """Read one row of useful-flags per query from a ``select`` trace.
@@ -30,7 +33,8 @@ def profile_from_trace(path: str | Path, depth: int) -> tuple[list[list[bool]], 
     A fresh id is useful if the window that brought it in selected it; a
     query's row is its windows' fresh flags, in rank order. Only queries
     whose windows hold ``depth`` fresh candidates count, so partial traces of
-    aborted queries are left out. Returns those queries' rows, their mean
+    aborted queries and queries with other list lengths are left out, with
+    one warning naming them. Returns those queries' rows, their mean
     window count, and the share of their carried passages that the window
     did not select again (0.0 when none were carried). The replay treats that
     share as 0, so a high one says the prediction is optimistic.
@@ -63,6 +67,13 @@ def profile_from_trace(path: str | Path, depth: int) -> tuple[list[list[bool]], 
     complete = [qid for qid, row in rows.items() if len(row) == depth]
     if not complete:
         raise LoadError(f"{path}: no query in the trace saw --depth {depth} candidates")
+    left_out = [qid for qid, row in rows.items() if len(row) != depth]
+    if left_out:  # named as the batch runner names skipped queries: count, then the first 5
+        logger.warning(
+            "%s: left out %d of %d queries, which did not see --depth %d candidates: %s%s",
+            path, len(left_out), len(rows), depth, ", ".join(left_out[:5]),
+            ", ..." if len(left_out) > 5 else "",
+        )
     carried_total = sum(carried_seen[qid] for qid in complete)
     dropped = sum(carried_dropped[qid] for qid in complete)
     return (

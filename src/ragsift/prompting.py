@@ -10,8 +10,8 @@ Each section may use only its own placeholders:
 
 - ``[system]``: none; the text is sent as it stands.
 - ``[passage]``: ``{index}`` (int, the one-based identifier) and ``{text}``
-  (str, truncated to ``passage_tokens``) are required; ``{title}`` (str,
-  empty for an untitled passage) is optional.
+  (str, the passage text as held) are required; ``{title}`` (str, empty for
+  an untitled passage) is optional.
 - ``[instruction:ranking]`` and ``[instruction:selection]``: ``{query}``
   (str, never truncated) is required; ``{count}`` (int, the window size) is
   optional.
@@ -32,7 +32,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import CHARS_PER_TOKEN, Passage, Query, check_passage_tokens, not_utf8, truncate_text
+from .corpus import Passage, Query, not_utf8
 
 
 class TemplateError(ValueError):
@@ -180,32 +180,20 @@ def _window_format(per_passage: str, instruction: str, n: int) -> str:
     return passages + "\n\n" + _numbered(instruction, {"query": 3 * n, "count": 3 * n + 1})
 
 
-def render(
-    template: PromptTemplate,
-    query: Query,
-    window: Sequence[Passage],
-    passage_tokens: int = 300,
-) -> RenderedPrompt:
+def render(template: PromptTemplate, query: Query, window: Sequence[Passage]) -> RenderedPrompt:
     """Render a window of passages into a prompt.
 
-    Passages keep their window order and are labeled [1]..[n]. Passage text
-    is truncated to ``passage_tokens`` tokens of ``CHARS_PER_TOKEN``
-    characters; the query text is never truncated. A passage loaded with
-    ``load_corpus(..., passage_tokens=)`` at the same budget is already cut.
+    Passages keep their window order and are labeled [1]..[n], each with its
+    text as held; the passage budget is applied by ``load_corpus``.
 
     Raises:
-        ValueError: on an empty window or a ``passage_tokens`` below 1.
+        ValueError: on an empty window.
     """
     if not window:
         raise ValueError("cannot render an empty window")
-    check_passage_tokens(passage_tokens)
-    limit = passage_tokens * CHARS_PER_TOKEN
     args: list[int | str] = []
     for i, passage in enumerate(window, 1):
-        text = passage.text
-        if len(text) > limit:
-            text = truncate_text(text, limit)
-        args += (i, passage.title or "", text)
+        args += (i, passage.title or "", passage.text)
     args += (query.text, len(window))
     fmt = _window_format(template.per_passage_text, template.instruction_text, len(window))
     return RenderedPrompt(

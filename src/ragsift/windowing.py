@@ -26,25 +26,22 @@ from itertools import islice
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import Passage, Query, check_passage_tokens, id_list, load_query_field
+from .corpus import Passage, Query, id_list, load_query_field
 from .judge import Judge, JudgeTransportError, JudgeVerdict, judge_window
 from .prompting import PromptTemplate, default_templates, render
 
 
 @dataclass(frozen=True)
 class WindowConfig:
-    """Sliding-window geometry (candidate depth, window size and stride) and
-    the per-passage truncation budget, in tokens, of every rendered window."""
+    """Sliding-window geometry: candidate depth, window size and stride."""
 
     depth: int = 100
     window_size: int = 20
     stride: int = 10
-    passage_tokens: int = 300
 
     def __post_init__(self) -> None:
         if self.depth < 1 or self.window_size < 1 or self.stride < 1:
             raise ValueError("depth, window_size and stride must all be positive")
-        check_passage_tokens(self.passage_tokens)
         if self.depth > self.window_size and self.stride >= self.window_size:
             raise ValueError(
                 f"stride ({self.stride}) must be smaller than window_size "
@@ -167,7 +164,7 @@ def rerank(
     prev_start: int | None = None
     for start, end in plan_ranking_windows(cfg):
         window = order[start:end]
-        prompt = render(ranking_template, query, window, cfg.passage_tokens)
+        prompt = render(ranking_template, query, window)
         try:
             verdict = judge_window(judge, prompt)
         except JudgeTransportError as exc:
@@ -222,7 +219,7 @@ def select(
         fresh = candidates[pos : pos + cfg.window_size - len(carried)]
         window = [*carried, *fresh]
 
-        prompt = render(selection_template, query, window, cfg.passage_tokens)
+        prompt = render(selection_template, query, window)
         try:
             verdict = judge_window(judge, prompt)
         except JudgeTransportError as exc:

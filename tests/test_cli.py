@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import shutil
 import subprocess
@@ -461,6 +462,8 @@ class TestSimulateCommand:
         }
         pinned = json.dumps(report, indent=2, sort_keys=True) + "\n"
         assert (out / "cost_report.json").read_bytes() == pinned.encode()
+        parameters = json.loads((out / "manifest.json").read_text())["parameters"]
+        assert parameters["seed"] == 7 and parameters["trials"] == 1000
 
     @pytest.mark.parametrize(
         "spec", ["bernoulli:abc", "bernoulli:1.5", "bernoulli:nan", "nevr", "missing.json"]
@@ -496,9 +499,31 @@ class TestSimulateCommand:
         }
         pinned = json.dumps(report, indent=2, sort_keys=True) + "\n"
         assert (out / "cost_report.json").read_bytes() == pinned.encode()
-        # the seed is recorded once, with the other options
+        # a trace reads neither --trials nor --seed, so the manifest records neither
         manifest = json.loads((out / "manifest.json").read_text())
-        assert "seed" not in manifest and manifest["parameters"]["seed"] == 0
+        assert "seed" not in manifest
+        assert manifest["parameters"]["seed"] is None and manifest["parameters"]["trials"] is None
+
+    def test_trace_queries_left_out_are_named(self, mini_dir, tmp_path, caplog):
+        # q001 keeps 6 of its 10 candidates, so its trace row is short of --depth 10
+        data = tmp_path / "data"
+        shutil.copytree(mini_dir, data)
+        lines = (mini_dir / "run.trec").read_text().splitlines(keepends=True)
+        short = [ln for ln in lines if not (ln.startswith("q001 ") and int(ln.split()[3]) > 6)]
+        (data / "run.trec").write_text("".join(short))
+        geometry = ["--depth", "10", "--w", "4", "--s", "2"]
+        run = tmp_path / "select"
+        oracle = ["--judge", "oracle", "--trace", "--out", str(run)]
+        assert main(["select", *_mini_flags(data), *geometry, *oracle]) == 0
+        out = tmp_path / "sim"
+        caplog.clear()
+        profile = ["--profile", str(run / "trace.jsonl")]
+        with caplog.at_level(logging.WARNING, logger="ragsift.costsim"):
+            assert main(["simulate", *geometry, *profile, "--out", str(out)]) == 0
+        assert json.loads((out / "cost_report.json").read_text())["trials"] == 19
+        warnings = [r.getMessage() for r in caplog.records if r.name == "ragsift.costsim"]
+        assert len(warnings) == 1
+        assert "left out 1 of 20 queries" in warnings[0] and warnings[0].endswith(": q001")
 
     @pytest.mark.parametrize(
         "text",

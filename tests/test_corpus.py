@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from ragsift.corpus import (
+    CHARS_PER_TOKEN,
     CandidateList,
     LoadError,
     Passage,
@@ -22,6 +23,7 @@ from ragsift.corpus import (
     load_run,
     resolve_candidates,
     trec_lines,
+    truncate_text,
 )
 from ragsift.judge import TranscriptJudge
 from ragsift.metrics import load_predictions
@@ -189,10 +191,13 @@ class TestLoadCorpusBudget(TestLoadCorpusKeep):
         cut = load_corpus(path, keep={"d1": "d1"}, passage_tokens=tokens)["d1"]
         assert full.text == text and cut.title == full.title
         assert len(cut.text) <= tokens * 4
+        # the load cuts by truncate_text, and render shows the held text as it is
+        by_rule = Passage("d1", truncate_text(full.text, tokens * CHARS_PER_TOKEN), full.title)
         ranking, _ = default_templates()
         titled = PromptTemplate("ranking", "s", "[{index}] {title}: {text}", "{query} {count}")
         for template in (ranking, titled):
-            assert render(template, QUERY, [cut], tokens) == render(template, QUERY, [full], tokens)
+            assert render(template, QUERY, [cut]) == render(template, QUERY, [by_rule])
+        assert render(ranking, QUERY, [cut]).user.startswith(f"[1] {by_rule.text}\n\n")
 
     def test_budget_bounds_held_text_memory(self, tmp_path):
         # 2,000 passages of 400 ASCII characters; a budget of 8 tokens keeps 29 of each, so

@@ -7,15 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ragsift.corpus import LoadError, Passage, Query
+from ragsift.corpus import LoadError, Passage, Query, truncate_text
 from ragsift.prompting import (
-    CHARS_PER_TOKEN,
     PromptTemplate,
     TemplateError,
     default_templates,
     load_templates,
     render,
-    truncate_text,
 )
 from tests.conftest import QUERY, make_passages
 
@@ -33,15 +31,10 @@ def scan_truncate(text: str, limit: int) -> str:
     return kept or head
 
 
-def format_per_passage(
-    template: PromptTemplate, query: Query, window: list[Passage], passage_tokens: int
-) -> str:
+def format_per_passage(template: PromptTemplate, query: Query, window: list[Passage]) -> str:
     """Reference user message: one keyword ``str.format`` per passage, joined."""
-    limit = passage_tokens * CHARS_PER_TOKEN
     lines = [
-        template.per_passage_text.format(
-            index=i, title=p.title or "", text=truncate_text(p.text, limit)
-        )
+        template.per_passage_text.format(index=i, title=p.title or "", text=p.text)
         for i, p in enumerate(window, 1)
     ]
     instruction = template.instruction_text.format(query=query.text, count=len(window))
@@ -123,12 +116,6 @@ class TestRender:
         with pytest.raises(ValueError, match="empty window"):
             render(ranking, QUERY, [])
 
-    @pytest.mark.parametrize("tokens", [0, -1])
-    def test_budget_below_one_refused(self, tokens):
-        ranking, _ = default_templates()
-        with pytest.raises(ValueError, match=f"passage_tokens must be at least 1, got {tokens}"):
-            render(ranking, QUERY, make_passages(1), passage_tokens=tokens)
-
     def test_doc_ids_follow_window_order(self):
         ranking, _ = default_templates()
         window = [Passage("b", "x"), Passage("a", "y")]
@@ -137,18 +124,16 @@ class TestRender:
     def test_long_query_never_truncated(self):
         ranking, _ = default_templates()
         query = Query("q1", "needle " * 500 + "END")
-        prompt = render(ranking, query, make_passages(1), passage_tokens=1)
+        prompt = render(ranking, query, make_passages(1))
         assert query.text in prompt.user
 
-    def test_total_length_bounded_by_per_passage_budget(self):
+    def test_long_passage_rendered_whole(self):
+        # the passage budget belongs to load_corpus; render cuts nothing
         ranking, _ = default_templates()
-        n = 7
-        long_window = [Passage(f"d{i}", "lorem ipsum " * 400) for i in range(n)]
-        tiny_window = [Passage(f"d{i}", "x") for i in range(n)]
-        rendered = render(ranking, QUERY, long_window, passage_tokens=50)
-        fixed = len(render(ranking, QUERY, tiny_window, passage_tokens=50).full_text()) - n
-        assert len(rendered.full_text()) <= fixed + n * 200
-
+        text = ("lorem ipsum " * 500)[:4999] + "Z"
+        prompt = render(ranking, QUERY, [Passage("d1", text)])
+        assert len(text) == 5000
+        assert prompt.user.startswith(f"[1] {text}\n\n")
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -159,13 +144,12 @@ class TestRender:
             min_size=1,
             max_size=25,
         ),
-        st.integers(1, 12),
     )
-    def test_matches_per_passage_format(self, template, query_text, passages, tokens):
+    def test_matches_per_passage_format(self, template, query_text, passages):
         window = [Passage(f"d{i}", text, title) for i, (text, title) in enumerate(passages)]
         query = Query("q", query_text)
-        prompt = render(template, query, window, tokens)
-        assert prompt.user == format_per_passage(template, query, window, tokens)
+        prompt = render(template, query, window)
+        assert prompt.user == format_per_passage(template, query, window)
         assert prompt.system == template.system_text
 
 
@@ -200,13 +184,7 @@ class TestTruncation:
     @example("  " + "x" * 20, 12)
     @example("x\u200by" * 10, 12)  # no whitespace at all
     def test_char_budget_matches_scan_reference(self, text, limit):
-        out = truncate_text(text, limit)
-        assert out == scan_truncate(text, limit)
-        tokens, rest = divmod(limit, CHARS_PER_TOKEN)
-        if rest == 0:  # a budget of whole tokens renders with this limit
-            ranking, _ = default_templates()
-            prompt = render(ranking, QUERY, [Passage("d1", text)], tokens)
-            assert prompt.user.startswith(f"[1] {out}\n\n")
+        assert truncate_text(text, limit) == scan_truncate(text, limit)
 
 
 class TestTemplates:

@@ -48,10 +48,9 @@ class TestWindowConfig:
         assert plan_ranking_windows(cfg) == [(0, 10)]
 
     def test_all_fields_positive(self):
-        with pytest.raises(ValueError):
-            WindowConfig(depth=0, window_size=5, stride=1)
-        with pytest.raises(ValueError, match="passage_tokens must be at least 1, got 0"):
-            WindowConfig(passage_tokens=0)
+        for field in ("depth", "window_size", "stride"):
+            with pytest.raises(ValueError, match="must all be positive"):
+                WindowConfig(**{"depth": 8, "window_size": 5, "stride": 1, field: 0})
 
 
 class TestPlanRankingWindows:
