@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .corpus import Passage, Query
@@ -39,20 +38,8 @@ MISSING_IDENTIFIERS = "missing_identifiers"
 REPETITIVE = "repetitive"
 TRANSPORT = "transport"
 
-# the files an annotation run writes; training_line picks one per record
+# the files an annotation run writes; training_line picks one per window
 TRAINING_FILES = ("train.jsonl", "rejected.jsonl")
-
-
-@dataclass
-class TrainingRecord:
-    query_id: str
-    kind: str
-    system_text: str
-    prompt_text: str
-    raw_text: str
-    target_text: str
-    passed: bool
-    defects: list[str] = field(default_factory=list)
 
 
 def verdict_defects(verdict: JudgeVerdict) -> list[str]:
@@ -118,51 +105,44 @@ def annotate_query(
     templates: tuple[PromptTemplate, PromptTemplate] | None,
     *,
     kind: str,
-) -> list[TrainingRecord]:
-    """One record per window the ``kind`` engine judges for ``query``, in window order.
+) -> list[tuple[RenderedPrompt, JudgeVerdict | None]]:
+    """The prompt and verdict of each window the ``kind`` engine judges for ``query``, in window order.
 
     ``select`` judges a selection annotation and ``rerank`` a ranking one,
     with the prompts that command judges at ``cfg``. The teacher's verdict
-    steers the sweep, repaired if need be, even when its record is rejected.
+    steers the sweep, repaired if need be, even when its window is rejected.
     A transport failure ends the sweep, not the batch: the windows judged
-    before it keep their records, and the failed one's is tagged ``transport``.
+    before it are kept, and the failed one's verdict is ``None``.
     """
     log = _WindowLog(judge)
     try:
         (rerank if kind == RANKING else select)(query, passages, log, cfg, templates)
     except QueryFailure as failure:
         logger.warning("teacher unreachable for query %s: %s", query.query_id, failure.error)
-    records = []
-    for prompt, verdict in log.windows:
-        defects = [TRANSPORT] if verdict is None else verdict_defects(verdict)
-        raw_text = "" if verdict is None else verdict.raw_text
-        target_text = "" if defects else canonical_text(verdict)
-        records.append(
-            TrainingRecord(
-                query.query_id, prompt.kind, prompt.system, prompt.user,
-                raw_text, target_text, not defects, defects,
-            )
-        )
-    return records
+    return log.windows
 
 
-def training_line(record: TrainingRecord) -> tuple[int, str]:
-    """The record's JSONL line, and the index of its file in ``TRAINING_FILES``.
+def training_line(window: tuple[RenderedPrompt, JudgeVerdict | None]) -> tuple[int, str]:
+    """The JSONL line of a judged window, and the index of its file in ``TRAINING_FILES``.
 
-    A passing record is a conversation for ``train.jsonl``; a failed one goes
-    to ``rejected.jsonl`` with its defect tags and the raw teacher text.
+    A verdict without defects is a conversation for ``train.jsonl``, its
+    target canonicalized; any other goes to ``rejected.jsonl`` with its
+    defect tags and the raw teacher text, a ``None`` verdict tagged
+    ``transport``.
     """
-    if record.passed:
+    prompt, verdict = window
+    defects = [TRANSPORT] if verdict is None else verdict_defects(verdict)
+    if not defects:
         messages = [
-            {"role": "system", "content": record.system_text},
-            {"role": "user", "content": record.prompt_text},
-            {"role": "assistant", "content": record.target_text},
+            {"role": "system", "content": prompt.system},
+            {"role": "user", "content": prompt.user},
+            {"role": "assistant", "content": canonical_text(verdict)},
         ]
         return 0, json.dumps({"messages": messages}, ensure_ascii=False) + "\n"
     rejected = {
-        "query_id": record.query_id,
-        "kind": record.kind,
-        "defects": record.defects,
-        "raw_text": record.raw_text,
+        "query_id": prompt.query_id,
+        "kind": prompt.kind,
+        "defects": defects,
+        "raw_text": "" if verdict is None else verdict.raw_text,
     }
     return 1, json.dumps(rejected, ensure_ascii=False) + "\n"

@@ -42,7 +42,6 @@ from .metrics import (
     evaluate_answers,
     evidence_scores,
     load_predictions,
-    mean_in_order,
     ndcg_per_query,
     write_report,
 )
@@ -132,22 +131,28 @@ def _report_failures(failures: list[QueryFailure]) -> int:
     return 0
 
 
-def _load_batch_inputs(args: argparse.Namespace):
-    """Load what every batch command judges: queries, run, corpus, judge and templates.
+@contextmanager
+def _batch_inputs(args: argparse.Namespace):
+    """Yield what every batch command judges: queries, run, corpus, judge and templates.
 
-    A ``--passage-tokens`` below 1 fails before any file is read. The run is
-    read first, so the corpus holds only the passages it references, keyed by
-    the run's own id strings, with text cut to ``--passage-tokens``.
+    Usage errors come first: a ``--parallel`` or ``--passage-tokens`` below
+    1, a bad template and a judge that cannot be built fail before the run,
+    the corpus or the queries are read. The run is read before the corpus,
+    so the corpus holds only the passages it references, keyed by the run's
+    own id strings, with text cut to ``--passage-tokens``. The judge is
+    closed when the block ends, however it ends.
     """
+    if args.parallel < 1:
+        raise ValueError(f"--parallel must be at least 1, got {args.parallel}")
     check_passage_tokens(args.passage_tokens)
-    run = load_run(args.run, max_depth=args.depth)
-    ids = {d: d for cl in run.values() for d in cl.ids}
-    corpus = load_corpus(args.corpus, keep=ids, passage_tokens=args.passage_tokens)
-    queries = load_queries(args.queries)
-    qrels = load_qrels(args.qrels) if args.qrels else None
-    judge = _build_judge(args, qrels)
     templates = load_templates(args.templates)
-    return queries, run, corpus, judge, templates
+    qrels = load_qrels(args.qrels) if args.qrels else None
+    with closing(_build_judge(args, qrels)) as judge:
+        run = load_run(args.run, max_depth=args.depth)
+        ids = {d: d for cl in run.values() for d in cl.ids}
+        corpus = load_corpus(args.corpus, keep=ids, passage_tokens=args.passage_tokens)
+        queries = load_queries(args.queries)
+        yield queries, run, corpus, judge, templates
 
 
 @contextmanager
@@ -184,10 +189,9 @@ def _stream_batch(
     queries follow, in query_id order. Returns the output directory, the
     queries written, the lines written to each output, and the failures.
     """
-    queries, run, corpus, judge, templates = _load_batch_inputs(args)
     trace = getattr(args, "trace", False)  # annotate writes no trace
     done, counts, failures = 0, [0] * len(outputs), []
-    with closing(judge):
+    with _batch_inputs(args) as (queries, run, corpus, judge, templates):
         outcomes = run_batch(engine, queries, run, corpus, judge, cfg, templates, args.parallel)
         out = _out_dir(args)
         names = [*outputs, "trace.jsonl"] if trace else outputs
@@ -276,9 +280,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         if run is None:
             run = load_run(args.run, max_depth=args.depth)
         report.ndcg_queries = {k: ndcg_per_query(run, qrels, k) for k in args.ndcg_k}
-        report.ndcg = {k: mean_in_order(v.values()) for k, v in report.ndcg_queries.items()}
 
-    if report.answers is None and report.evidence is None and report.ndcg is None:
+    if report.answers is None and report.evidence is None and report.ndcg_queries is None:
         raise LoadError(
             "nothing to evaluate: give --predictions/--answers, --selection or --run with "
             "--k/--ndcg-k"
@@ -294,13 +297,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
-    # a teacher transport failure is a rejected record, never an aborted query
+    # a teacher transport failure is a rejected line, never an aborted query
     out, done, (passed, rejected), _ = _stream_batch(
         args,
         partial(annotate_query, kind=args.kind),
         WindowConfig(depth=args.depth, window_size=args.w),
         TRAINING_FILES,
-        lambda qid, records: map(training_line, records),
+        lambda qid, windows: map(training_line, windows),
     )
     print(f"annotated {done} queries: {passed} records kept, {rejected} rejected -> {out}")
     return 0

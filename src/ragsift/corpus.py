@@ -74,11 +74,13 @@ _THROUGH_LAST_WHITESPACE = re.compile(r".*\s", re.DOTALL)
 def truncate_text(text: str, limit: int) -> str:
     """Truncate ``text`` to ``limit`` characters at a whitespace boundary.
 
-    The cut point is the last whitespace at or before ``limit``. A first
-    token over the limit, alone or preceded only by whitespace, falls back
-    to a hard cut at ``limit``. Python slicing operates on code points, so
-    no unicode scalar is ever split. A text of at most ``limit`` characters
-    is returned as it is.
+    The cut point is the last whitespace before index ``limit``, so one at
+    index ``limit`` itself is not used: ``truncate_text("ab cd ef", 5)`` is
+    ``"ab"``. The rule stays as it is because prompt bytes key recorded
+    transcripts. A first token over the limit, alone or preceded only by
+    whitespace, falls back to a hard cut at ``limit``. Python slicing
+    operates on code points, so no unicode scalar is ever split. A text of
+    at most ``limit`` characters is returned as it is.
     """
     if len(text) <= limit:
         return text

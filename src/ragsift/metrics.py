@@ -211,7 +211,6 @@ class MetricsReport:
 
     answers: AnswerMetrics | None = None
     evidence: EvidenceMetrics | None = None
-    ndcg: dict[int, float] | None = None
     ndcg_queries: dict[int, dict[str, float]] | None = None
 
     def aggregates(self) -> dict[str, float]:
@@ -225,9 +224,9 @@ class MetricsReport:
             out["evidence_micro_f1"] = self.evidence.micro_f1
             out["evidence_micro_recall"] = self.evidence.micro_recall
             out["evidence_micro_precision"] = self.evidence.micro_precision
-        if self.ndcg is not None:
-            for k in sorted(self.ndcg):
-                out[f"ndcg@{k}"] = self.ndcg[k]
+        if self.ndcg_queries is not None:
+            for k, scores in sorted(self.ndcg_queries.items()):
+                out[f"ndcg@{k}"] = mean_in_order(scores.values())
         return out
 
     def to_json_dict(self) -> dict:

@@ -102,10 +102,16 @@ class FailingJudge(Judge):
 
 
 def annotate(queries, run, corpus, judge, kind, cfg, parallel=1):
-    """Every window's training record, in query_id and window order, from the shared batch runner."""
+    """Every judged window, in query_id and window order, from the shared batch runner."""
     engine = partial(annotate_query, kind=kind)
     batch = run_batch(engine, queries, run, corpus, judge, cfg, parallel=parallel)
-    return [record for _, records in batch for record in records]
+    return [window for _, windows in batch for window in windows]
+
+
+def decoded(window):
+    """The name of the file ``window``'s training line goes to, and the line's JSON."""
+    i, text = training_line(window)
+    return TRAINING_FILES[i], json.loads(text)
 
 
 class TestAnnotate:
@@ -118,12 +124,12 @@ class TestAnnotate:
                 "q2": "I rank them 2 1 4 3",
             }
         )
-        records = annotate(queries, run, corpus, judge, RANKING, WindowConfig(4, 4, 2))
-        by_id = {r.query_id: r for r in records}
-        assert by_id["q0"].passed
-        assert by_id["q0"].target_text == "[2] > [1] > [4] > [3]"
-        assert not by_id["q1"].passed and REPETITIVE in by_id["q1"].defects
-        assert not by_id["q2"].passed and IMPROPER_FORMAT in by_id["q2"].defects
+        windows = annotate(queries, run, corpus, judge, RANKING, WindowConfig(4, 4, 2))
+        by_id = {window[0].query_id: decoded(window) for window in windows}
+        assert by_id["q0"][0] == "train.jsonl"
+        assert by_id["q0"][1]["messages"][2]["content"] == "[2] > [1] > [4] > [3]"
+        assert by_id["q1"][0] == "rejected.jsonl" and REPETITIVE in by_id["q1"][1]["defects"]
+        assert by_id["q2"][0] == "rejected.jsonl" and IMPROPER_FORMAT in by_id["q2"][1]["defects"]
 
     def test_targets_reparse_with_zero_repairs(self):
         corpus, queries, run = _mini_inputs()
@@ -134,15 +140,15 @@ class TestAnnotate:
                 "q2": "Selected: [1]",
             }
         )
-        records = annotate(queries, run, corpus, judge, SELECTION, WindowConfig(4, 4, 2))
-        for rec in records:
-            if rec.passed:
-                verdict = verdict_from_text(rec.target_text, SELECTION, 4)
+        windows = annotate(queries, run, corpus, judge, SELECTION, WindowConfig(4, 4, 2))
+        for name, line in map(decoded, windows):
+            if name == "train.jsonl":
+                verdict = verdict_from_text(line["messages"][2]["content"], SELECTION, 4)
                 assert verdict.repairs == ()
 
     def test_records_sorted_by_query_id(self):
         corpus, queries, run = _mini_inputs()
-        records = annotate(
+        windows = annotate(
             list(reversed(queries)),
             run,
             corpus,
@@ -150,7 +156,7 @@ class TestAnnotate:
             RANKING,
             WindowConfig(4, 4, 2),
         )
-        assert [r.query_id for r in records] == ["q0", "q1", "q2"]
+        assert [prompt.query_id for prompt, _ in windows] == ["q0", "q1", "q2"]
 
     def test_parallel_annotation_matches_serial(self):
         corpus, queries, run = _mini_inputs(n_queries=8)
@@ -164,9 +170,12 @@ class TestAnnotate:
 
     def test_transport_failure_tagged_not_fatal(self):
         corpus, queries, run = _mini_inputs(n_queries=1)
-        records = annotate(queries, run, corpus, FailingJudge(), RANKING, WindowConfig(4, 4, 2))
-        assert len(records) == 1
-        assert not records[0].passed and records[0].defects == [TRANSPORT]
+        windows = annotate(queries, run, corpus, FailingJudge(), RANKING, WindowConfig(4, 4, 2))
+        assert len(windows) == 1 and windows[0][1] is None
+        assert decoded(windows[0]) == (
+            "rejected.jsonl",
+            {"query_id": "q0", "kind": RANKING, "defects": [TRANSPORT], "raw_text": ""},
+        )
 
     def test_invalid_verdict_is_rejected_like_the_engines(self):
         class DuplicatingJudge(Judge):
@@ -200,8 +209,8 @@ class TestAnnotate:
                 "q2": "[4] > [3] > [2] > [1]",
             }
         )
-        records = annotate(queries, run, corpus, judge, RANKING, WindowConfig(4, 4, 2))
-        lines = [training_line(record) for record in records]
+        windows = annotate(queries, run, corpus, judge, RANKING, WindowConfig(4, 4, 2))
+        lines = [training_line(window) for window in windows]
         assert [TRAINING_FILES[i] for i, _ in lines] == ["train.jsonl", "rejected.jsonl", "train.jsonl"]
         assert all(text.endswith("\n") and text.count("\n") == 1 for _, text in lines)
 
@@ -261,13 +270,14 @@ class TestDeepSweep:
     def test_mid_sweep_failure_keeps_earlier_windows(self, kind, caplog):
         corpus, queries, run = _mini_inputs(n_queries=1, depth=40)
         judge = CleanTeacherFailingAt(3)
-        records = annotate(queries, run, corpus, judge, kind, WindowConfig(40, 20, 10))
-        assert [r.passed for r in records] == [True, True, False]
-        assert records[-1].defects == [TRANSPORT] and records[-1].raw_text == ""
+        windows = annotate(queries, run, corpus, judge, kind, WindowConfig(40, 20, 10))
+        lines = [decoded(window) for window in windows]
+        assert [name for name, _ in lines] == ["train.jsonl", "train.jsonl", "rejected.jsonl"]
+        assert lines[-1][1]["defects"] == [TRANSPORT] and lines[-1][1]["raw_text"] == ""
         assert "teacher unreachable for query q0" in caplog.text
         if kind == SELECTION:
             # window 2 carries the passage window 1 selected ahead of its fresh ones
-            prompt = records[1].prompt_text
+            prompt = windows[1][0].user
             assert prompt.index("text 0 0\n") < prompt.index("text 0 20\n")
 
     @pytest.mark.parametrize("command, kind", [("select", SELECTION), ("rerank", RANKING)])

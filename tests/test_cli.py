@@ -1052,7 +1052,10 @@ class TestEntryPoints:
         assert main(["rerank", *base, "--out", str(tmp_path / "r")]) == 0
         assert main(["select", *base, "--out", str(tmp_path / "s")]) == 0
         assert main(["annotate", *base, "--kind", "ranking", "--out", str(tmp_path / "a")]) == 0
-        assert len(closed) == 3
+        # the judge is built before the run is read, and closed when reading it fails
+        missing_run = ["--run", str(tmp_path / "missing.trec")]
+        assert main(["select", *base, *missing_run, "--out", str(tmp_path / "m")]) == 1
+        assert len(closed) == 4
 
     def test_module_invocation(self, tmp_path):
         # the child imports the same package as this process, installed or not
@@ -1073,13 +1076,21 @@ class TestEntryPoints:
             *("--queries", str(tmp_path / "missing.jsonl")),
             *("--run", str(tmp_path / "missing.trec")),
         ]
+        bad_template = tmp_path / "bad.txt"
+        bad_template.write_text("[system]\n{query}\n", encoding="utf-8")
+        qrels = ["--qrels", str(mini_dir / "qrels.txt")]
         bad_inputs = [
-            (["rerank", *missing], "missing.trec"),
+            (["rerank", *missing, *qrels], "missing.trec"),
+            # usage errors are reported before the run, the corpus or the queries are read
+            (["select", *missing, *qrels, "--templates", str(bad_template)], "bad.txt"),
+            (["rerank", *missing], "--qrels"),
+            (["annotate", *missing, "--kind", "ranking", "--judge", "endpoint",
+              "--endpoint-url", "ftp://host/v1", "--model", "m"], "ftp://host/v1"),
             # a run tag must fit one TREC column; it is checked before any input is read
             (["rerank", *missing, "--tag", ""], "--tag"),
             (["rerank", *missing, "--tag", "a b"], "--tag"),
-            (["select", *_mini_flags(mini_dir), "--parallel", "0"], "got 0"),
-            (["select", *_mini_flags(mini_dir), "--parallel", "-1"], "got -1"),
+            (["select", *missing, "--parallel", "0"], "got 0"),
+            (["select", *missing, "--parallel", "-1"], "got -1"),
             # the passage budget is part of the window config, built before any input is read
             (["select", *missing, "--passage-tokens", "0"], "passage_tokens"),
             (["rerank", *missing, "--passage-tokens", "-1"], "passage_tokens"),
@@ -1087,7 +1098,8 @@ class TestEntryPoints:
         ]
         out = tmp_path / "out"
         for argv, named in bad_inputs:
-            assert main([*argv, "--judge", "oracle", "--out", str(out)]) == 1, argv
+            # the judge is the oracle unless a case names another
+            assert main([*argv, "--out", str(out)]) == 1, argv
             err = capsys.readouterr().err
             assert err.startswith("error: ") and named in err and "Traceback" not in err, err
             assert not out.exists()

@@ -1,5 +1,5 @@
-"""Golden bytes: every output of the mini dataset under the oracle judge, and
-of replayed runs in which some queries abort.
+"""Golden bytes: every output of the mini dataset under the oracle judge, of
+replayed runs in which some queries abort, and of evaluate's reports.
 
 Outputs and recorded transcripts must stay byte-identical across refactors.
 Transcript bytes pin the rendered prompts, since ``TranscriptJudge`` looks
@@ -163,6 +163,72 @@ def test_aborted_queries_match_golden_bytes(command, parallel, mini_dir, tmp_pat
         for name in OUTPUTS[command]
     }
     assert digests == ABORTED_GOLDEN[command]
+
+
+# evaluate's flag sets: each input flag takes its mini-dataset file, and
+# --selection the selected.jsonl of the "select" case above
+MINI_INPUTS = {
+    "--predictions": "predictions.jsonl",
+    "--answers": "answers.jsonl",
+    "--evidence": "evidence.jsonl",
+    "--run": "run.trec",
+    "--qrels": "qrels.txt",
+}
+
+EVALUATE = {
+    "answers": ["--predictions", "--answers"],
+    "selection-evidence": ["--selection", "--evidence"],
+    "selection-qrels": ["--selection", "--qrels"],
+    "run-k3": ["--run", "--k", "3", "--qrels"],
+    "ndcg": ["--run", "--qrels", "--ndcg-k", "1", "5", "10"],
+    "everything": ["--predictions", "--answers", "--run", "--k", "5", "--qrels", "--ndcg-k", "10", "3"],
+}
+
+EVALUATE_GOLDEN = {
+    "answers": {
+        "report.json": "bbfac90864ca66b0fbaf1d49e36cde785edbdf42b84efea84804ff240c75c2c5",
+        "per_query.tsv": "99efea5b250d30fe423950b94e88e35026dc3df6750ebe8b26d5082e6d558b04",
+    },
+    "selection-evidence": {
+        "report.json": "02df9382bfeed902d2dc2c31749b0229e590d20d3bef91513b012e163a6e6eb7",
+        "per_query.tsv": "8d8e72203b3ddfdd9008b0d5b4d6a141ab4621426bbcef942f8c367212c7ea93",
+    },
+    # the mini gold evidence is the qrels graded 1 or more, so both selection reports match
+    "selection-qrels": {
+        "report.json": "02df9382bfeed902d2dc2c31749b0229e590d20d3bef91513b012e163a6e6eb7",
+        "per_query.tsv": "8d8e72203b3ddfdd9008b0d5b4d6a141ab4621426bbcef942f8c367212c7ea93",
+    },
+    "run-k3": {
+        "report.json": "9a5bf8870c81ab2ca0b78c03c7f348b141e5a182ffaaa342227e314fd428d72a",
+        "per_query.tsv": "ebb76bbb7ae756e8f68e2753c505be8bec39ebb033cd900a8c8aa633b5a408ad",
+    },
+    "ndcg": {
+        "report.json": "630d480c8d384bc3cd6b2b38a03fca25af297a9128f3facd02ce426ea82397b6",
+        "per_query.tsv": "e4f0f992c0dab98ed47ebb152dcd628f53d8e511cf1e4115da29cf470d60404d",
+    },
+    "everything": {
+        "report.json": "b4a70efe70a6fe12b2c3483ac34bd3a3e5605e97a308a5c997d5953b5f57c456",
+        "per_query.tsv": "2a36423daa28f749909bdc957015063d334ff1bf29f3c02f0bf693756f5f3774",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATE))
+def test_evaluate_matches_golden_bytes(name, mini_dir, tmp_path):
+    argv = ["evaluate", "--out", str(tmp_path / "report")]
+    for flag in EVALUATE[name]:
+        argv.append(flag)
+        if flag == "--selection":
+            output_digests("select", mini_dir, tmp_path)
+            argv.append(str(tmp_path / "select" / "selected.jsonl"))
+        elif flag in MINI_INPUTS:
+            argv.append(str(mini_dir / MINI_INPUTS[flag]))
+    assert main(argv) == 0
+    digests = {
+        f: hashlib.sha256((tmp_path / "report" / f).read_bytes()).hexdigest()
+        for f in ("report.json", "per_query.tsv")
+    }
+    assert digests == EVALUATE_GOLDEN[name]
 
 
 def test_mini_dataset_rebuilds_byte_for_byte(mini_dir, tmp_path, monkeypatch):

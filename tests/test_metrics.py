@@ -172,6 +172,13 @@ class TestReport:
         doc = report.to_json_dict()
         assert doc["percent"]["evidence_micro_f1"] == "66.67"
 
+    def test_ndcg_aggregates_are_the_per_query_means(self):
+        report = MetricsReport(ndcg_queries={10: {"q1": 0.5, "q2": 1.0}, 3: {"q1": 0.25, "q2": 0.0}})
+        assert report.aggregates() == {"ndcg@3": 0.125, "ndcg@10": 0.75}
+        columns, rows = report.per_query_rows()
+        assert columns == ["query_id", "ndcg@3", "ndcg@10"]
+        assert rows == [["q1", "0.2500", "0.5000"], ["q2", "0.0000", "1.0000"]]
+
     def test_per_query_rows_sorted(self):
         report = MetricsReport(
             evidence=evidence_scores(

@@ -183,6 +183,7 @@ class TestTruncation:
     @example("\u3000" + "x" * 20, 12)  # whitespace only at index 0
     @example("  " + "x" * 20, 12)
     @example("x\u200by" * 10, 12)  # no whitespace at all
+    @example("ab cd ef", 5)  # whitespace at index limit is not a cut point
     def test_char_budget_matches_scan_reference(self, text, limit):
         assert truncate_text(text, limit) == scan_truncate(text, limit)
 
