@@ -36,7 +36,6 @@ from .prompting import PromptTemplate, RenderedPrompt, load_templates, render
 from .windowing import (
     WindowConfig,
     WindowTrace,
-    cut,
     plan_ranking_windows,
     rerank,
     select,
@@ -63,7 +62,6 @@ __all__ = [
     "WindowConfig",
     "WindowTrace",
     "answer_em_f1",
-    "cut",
     "evaluate_answers",
     "evidence_from_qrels",
     "evidence_scores",

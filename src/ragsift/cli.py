@@ -23,7 +23,6 @@ from typing import Callable, Iterable, Iterator, Sequence, TextIO
 from . import __version__
 from .annotate import TRAINING_FILES, annotate_query, training_line
 from .corpus import (
-    CandidateList,
     LoadError,
     check_passage_tokens,
     evidence_from_qrels,
@@ -49,7 +48,7 @@ from .pipeline import QueryFailure, run_batch
 from .prompting import TemplateError, load_templates
 from .windowing import (
     WindowConfig,
-    cut,
+    read_selection_file,
     rerank,
     select,
     selection_line,
@@ -241,51 +240,50 @@ def cmd_select(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    from .windowing import read_selection_file
-
+    # every usage error is reported before any file is read
     if args.selection and args.k is not None:
         # the selection and the top-k cut would both be scored as the one evidence set
         raise LoadError("--k cannot be combined with --selection: evaluate each in its own call")
-    report = MetricsReport()
-    qrels = load_qrels(args.qrels) if args.qrels else None
-
-    if args.predictions:
-        if not args.answers:
-            raise LoadError("EM/F1 requested (--predictions) but no --answers gold file given")
-        report.answers = evaluate_answers(load_predictions(args.predictions), load_answers(args.answers))
-
-    selected: dict[str, list[str]] | None = None
-    run: dict[str, CandidateList] | None = None
-    if args.selection:
-        selected = read_selection_file(args.selection)
-    elif args.run and args.k is not None:
-        run = load_run(args.run, max_depth=args.depth)
-        selected = {qid: cut(cl.doc_ids(), min(args.k, len(cl))) for qid, cl in run.items()}
-    if selected is not None:
-        if args.evidence:
-            gold = load_evidence(args.evidence)
-        elif qrels is not None:
-            gold = evidence_from_qrels(qrels, threshold=args.threshold)
-        else:
-            raise LoadError(
-                "evidence metrics requested but neither --evidence nor --qrels was given"
-            )
-        report.evidence = evidence_scores(selected, gold)
-
-    if args.ndcg_k:
-        if not args.run:
-            raise LoadError("nDCG requested (--ndcg-k) but no --run file given")
-        if qrels is None:
-            raise LoadError("nDCG requested (--ndcg-k) but no --qrels file given")
-        if run is None:
-            run = load_run(args.run, max_depth=args.depth)
-        report.ndcg_queries = {k: ndcg_per_query(run, qrels, k) for k in args.ndcg_k}
-
-    if report.answers is None and report.evidence is None and report.ndcg_queries is None:
+    if args.k is not None and not args.run:
+        raise LoadError("--k needs --run: it scores the run's top-k cut as evidence")
+    if args.k is not None and args.k < 1:
+        raise ValueError(f"--k must be at least 1, got {args.k}")
+    if args.ndcg_k and min(args.ndcg_k) < 1:
+        raise ValueError(f"--ndcg-k must be at least 1, got {min(args.ndcg_k)}")
+    if args.predictions and not args.answers:
+        raise LoadError("EM/F1 requested (--predictions) but no --answers gold file given")
+    scores_evidence = bool(args.selection) or args.k is not None
+    if args.evidence and not scores_evidence:
+        raise LoadError("--evidence needs --selection or --k: there is no evidence set to score")
+    if scores_evidence and not (args.evidence or args.qrels):
+        raise LoadError("evidence metrics requested but neither --evidence nor --qrels was given")
+    if args.ndcg_k and not args.run:
+        raise LoadError("nDCG requested (--ndcg-k) but no --run file given")
+    if args.ndcg_k and not args.qrels:
+        raise LoadError("nDCG requested (--ndcg-k) but no --qrels file given")
+    if not (args.predictions or scores_evidence or args.ndcg_k):
         raise LoadError(
             "nothing to evaluate: give --predictions/--answers, --selection or --run with "
             "--k/--ndcg-k"
         )
+
+    report = MetricsReport()
+    qrels = load_qrels(args.qrels) if args.qrels else None
+    if args.predictions:
+        report.answers = evaluate_answers(load_predictions(args.predictions), load_answers(args.answers))
+    run = load_run(args.run, max_depth=args.depth) if args.k is not None or args.ndcg_k else None
+    if scores_evidence:
+        if args.selection:
+            selected = read_selection_file(args.selection)
+        else:
+            selected = {qid: cl.ids[: args.k] for qid, cl in run.items()}
+        if args.evidence:
+            gold = load_evidence(args.evidence)
+        else:
+            gold = evidence_from_qrels(qrels, threshold=args.threshold)
+        report.evidence = evidence_scores(selected, gold)
+    if args.ndcg_k:
+        report.ndcg_queries = {k: ndcg_per_query(run, qrels, k) for k in args.ndcg_k}
 
     out = _out_dir(args)
     json_path, tsv_path = write_report(report, out)

@@ -39,10 +39,10 @@ def profile_from_trace(path: str | Path, depth: int) -> tuple[list[list[bool]], 
     did not select again (0.0 when none were carried). The replay treats that
     share as 0, so a high one says the prediction is optimistic.
 
-    A record that is not a selection window (its ``carried`` and ``fresh``
-    lists of ids, its ``verdict.selected`` a list of distinct window
-    positions), or a trace in which no query saw ``depth`` candidates, is a
-    ``LoadError``.
+    A record that is not a selection window (a string ``query_id``, its
+    ``carried`` and ``fresh`` lists of ids, its ``verdict.selected`` a list
+    of distinct window positions), or a trace in which no query saw
+    ``depth`` candidates, is a ``LoadError``.
     """
     path = Path(path)
     rows: dict[str, list[bool]] = {}  # query id -> useful-flag per fresh candidate judged
@@ -58,6 +58,8 @@ def profile_from_trace(path: str | Path, depth: int) -> tuple[list[list[bool]], 
             if len(chosen) < len(selected) or not all(type(i) is int and 0 < i <= n for i in chosen):
                 raise ValueError("selected must list distinct window positions")
             qid = rec["query_id"]
+            if not isinstance(qid, str):
+                raise TypeError("query_id is not a string")
             rows.setdefault(qid, []).extend(i in chosen for i in range(len(carried) + 1, n + 1))
             windows[qid] += 1
             carried_seen[qid] += len(carried)

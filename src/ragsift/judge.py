@@ -484,7 +484,6 @@ class TranscriptJudge(Judge):
         except FileNotFoundError:
             if inner is None:
                 raise
-            self._path.parent.mkdir(parents=True, exist_ok=True)
 
     def __len__(self) -> int:
         return len(self._responses)
@@ -498,8 +497,11 @@ class TranscriptJudge(Judge):
             raise JudgeTransportError(f"transcript has no response for prompt {digest[:12]}...")
         verdict = self.inner.judge(prompt)
         record = {"prompt_sha256": digest, "response_text": verdict.raw_text}
-        with self._lock, self._path.open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+        with self._lock:
+            # made here, not when the judge is built, so a run that fails first leaves no directory
+            self._path.parent.mkdir(parents=True, exist_ok=True)
+            with self._path.open("a", encoding="utf-8") as fh:
+                fh.write(json.dumps(record, ensure_ascii=False) + "\n")
         return verdict
 
     def close(self) -> None:

@@ -60,10 +60,7 @@ def answer_em_f1(prediction: str, references: Sequence[str]) -> tuple[int, float
 
 @dataclass
 class AnswerMetrics:
-    mean_em: float
-    mean_f1: float
-    evaluated: int
-    per_query: dict[str, dict[str, float]]
+    per_query: dict[str, dict[str, float]]  # query id -> {"em", "f1"}
     missing_gold: list[str] = field(default_factory=list)
     missing_predictions: list[str] = field(default_factory=list)
 
@@ -78,77 +75,35 @@ def evaluate_answers(
     with no prediction score 0 and are listed in ``missing_predictions``.
     """
     per_query: dict[str, dict[str, float]] = {}
-    missing_gold = sorted(q for q in predictions if q not in gold)
-    missing_predictions = sorted(q for q in gold if q not in predictions)
     for qid in sorted(gold):
-        if qid in predictions:
-            em, f1 = answer_em_f1(predictions[qid], gold[qid])
-        else:
-            em, f1 = 0, 0.0
+        em, f1 = answer_em_f1(predictions[qid], gold[qid]) if qid in predictions else (0, 0.0)
         per_query[qid] = {"em": float(em), "f1": f1}
-    n = len(per_query)
     return AnswerMetrics(
-        mean_em=sum(r["em"] for r in per_query.values()) / n if n else 0.0,
-        mean_f1=sum(r["f1"] for r in per_query.values()) / n if n else 0.0,
-        evaluated=n,
-        per_query=per_query,
-        missing_gold=missing_gold,
-        missing_predictions=missing_predictions,
+        per_query,
+        missing_gold=sorted(q for q in predictions if q not in gold),
+        missing_predictions=sorted(q for q in gold if q not in predictions),
     )
 
 
 @dataclass
 class EvidenceMetrics:
-    recall: float
-    precision: float
-    micro_f1: float
-    micro_recall: float
-    micro_precision: float
-    evaluated: int
-    per_query: dict[str, dict[str, float]]
+    per_query: dict[str, tuple[int, int, int]]  # query id -> (tp, fp, fn)
     missing_gold: list[str] = field(default_factory=list)
 
 
 def evidence_scores(
     selected: Mapping[str, Sequence[str]], gold: Mapping[str, set[str]]
 ) -> EvidenceMetrics:
-    """Evidence selection quality against gold doc-id sets.
+    """True positive, false positive and false negative counts per gold query.
 
-    Recall and precision are per-query means (an empty selection scores
-    precision 0); micro scores pool true/false positive/negative counts over
-    all evaluated queries: micro-F1 = 2*TP / (2*TP + FP + FN).
+    A gold query with no selection counts as an empty one; selections for
+    queries without gold are listed in ``missing_gold``.
     """
-    per_query: dict[str, dict[str, float]] = {}
-    missing_gold = sorted(q for q in selected if q not in gold)
-    tp_total = fp_total = fn_total = 0
+    per_query = {}
     for qid in sorted(gold):
-        sel = set(selected.get(qid, ()))
-        gold_set = gold[qid]
-        tp = len(sel & gold_set)
-        fp = len(sel - gold_set)
-        fn = len(gold_set - sel)
-        tp_total += tp
-        fp_total += fp
-        fn_total += fn
-        per_query[qid] = {
-            "tp": float(tp),
-            "fp": float(fp),
-            "fn": float(fn),
-            "recall": tp / len(gold_set) if gold_set else 0.0,
-            "precision": tp / len(sel) if sel else 0.0,
-        }
-    n = len(per_query)
-    denom = 2 * tp_total + fp_total + fn_total
-    return EvidenceMetrics(
-        recall=sum(r["recall"] for r in per_query.values()) / n if n else 0.0,
-        precision=sum(r["precision"] for r in per_query.values()) / n if n else 0.0,
-        micro_f1=2 * tp_total / denom if denom else 0.0,
-        micro_recall=tp_total / (tp_total + fn_total) if tp_total + fn_total else 0.0,
-        micro_precision=tp_total / (tp_total + fp_total) if tp_total + fp_total else 0.0,
-        evaluated=n,
-        per_query=per_query,
-        missing_gold=missing_gold,
-    )
+        sel, gold_set = set(selected.get(qid, ())), gold[qid]
+        per_query[qid] = (len(sel & gold_set), len(sel - gold_set), len(gold_set - sel))
+    return EvidenceMetrics(per_query, missing_gold=sorted(q for q in selected if q not in gold))
 
 
 def dcg(grades: Sequence[int], k: int) -> float:
@@ -186,12 +141,16 @@ def ndcg_per_query(
 ) -> dict[str, float]:
     if k < 1:
         raise ValueError("k must be >= 1")
-    return {qid: ndcg_query(cl.doc_ids(), qrels.get(qid, {}), k) for qid, cl in run.items()}
+    return {qid: ndcg_query(cl.ids, qrels.get(qid, {}), k) for qid, cl in run.items()}
 
 
 def mean_in_order(values: Collection[float]) -> float:
     """Mean of ``values``, added one by one in their order; 0 when empty."""
     return reduce(add, values, 0.0) / len(values) if values else 0.0
+
+
+def _rate(part: float, whole: float) -> float:
+    return part / whole if whole else 0.0
 
 
 def load_predictions(path: str | Path) -> dict[str, str]:
@@ -207,88 +166,79 @@ def _answer_text(value: object) -> str:
 
 @dataclass
 class MetricsReport:
-    """Everything one evaluation run produced, recomputable from per-query rows."""
+    """Per-query scores and counts of one evaluation; every mean, rate and cell is derived."""
 
     answers: AnswerMetrics | None = None
     evidence: EvidenceMetrics | None = None
     ndcg_queries: dict[int, dict[str, float]] | None = None
 
     def aggregates(self) -> dict[str, float]:
+        """Per-query means in query-id order; the micro scores pool the counts of every query.
+
+        Recall and precision are 0 for a query with no gold or no selection;
+        micro-F1 = 2*TP / (2*TP + FP + FN).
+        """
         out: dict[str, float] = {}
         if self.answers is not None:
-            out["em"] = self.answers.mean_em
-            out["f1"] = self.answers.mean_f1
+            rows = self.answers.per_query.values()
+            out["em"] = mean_in_order([r["em"] for r in rows])
+            out["f1"] = mean_in_order([r["f1"] for r in rows])
         if self.evidence is not None:
-            out["evidence_recall"] = self.evidence.recall
-            out["evidence_precision"] = self.evidence.precision
-            out["evidence_micro_f1"] = self.evidence.micro_f1
-            out["evidence_micro_recall"] = self.evidence.micro_recall
-            out["evidence_micro_precision"] = self.evidence.micro_precision
-        if self.ndcg_queries is not None:
-            for k, scores in sorted(self.ndcg_queries.items()):
-                out[f"ndcg@{k}"] = mean_in_order(scores.values())
+            counts = self.evidence.per_query.values()
+            out["evidence_recall"] = mean_in_order([_rate(tp, tp + fn) for tp, _, fn in counts])
+            out["evidence_precision"] = mean_in_order([_rate(tp, tp + fp) for tp, fp, _ in counts])
+            tp, fp, fn = map(sum, zip((0, 0, 0), *counts))
+            out["evidence_micro_f1"] = _rate(2 * tp, 2 * tp + fp + fn)
+            out["evidence_micro_recall"] = _rate(tp, tp + fn)
+            out["evidence_micro_precision"] = _rate(tp, tp + fp)
+        for k, scores in sorted((self.ndcg_queries or {}).items()):
+            out[f"ndcg@{k}"] = mean_in_order(scores.values())
         return out
 
     def to_json_dict(self) -> dict:
+        aggregates = self.aggregates()
         doc: dict = {
-            "aggregates": self.aggregates(),
-            "percent": {k: f"{100 * v:.2f}" for k, v in self.aggregates().items()},
+            "aggregates": aggregates,
+            "percent": {k: f"{100 * v:.2f}" for k, v in aggregates.items()},
         }
         if self.answers is not None:
             doc["answers"] = {
-                "evaluated": self.answers.evaluated,
+                "evaluated": len(self.answers.per_query),
                 "missing_gold": self.answers.missing_gold,
                 "missing_predictions": self.answers.missing_predictions,
             }
         if self.evidence is not None:
             doc["evidence"] = {
-                "evaluated": self.evidence.evaluated,
+                "evaluated": len(self.evidence.per_query),
                 "missing_gold": self.evidence.missing_gold,
             }
         return doc
 
     def per_query_rows(self) -> tuple[list[str], list[list[str]]]:
-        """Flat per-query table: a column union of the computed sections."""
-        columns = ["query_id"]
-        if self.answers is not None:
-            columns += ["em", "f1"]
-        if self.evidence is not None:
-            columns += ["tp", "fp", "fn", "recall", "precision"]
-        ndcg_ks = sorted(self.ndcg_queries) if self.ndcg_queries else []
-        columns += [f"ndcg@{k}" for k in ndcg_ks]
+        """Flat per-query table: a column union of the computed sections.
 
-        qids: set[str] = set()
+        A query absent from a section has blank cells in that section's columns.
+        """
+        sections: list[tuple[list[str], dict[str, list[str]]]] = []
         if self.answers is not None:
-            qids.update(self.answers.per_query)
+            sections.append((["em", "f1"], {
+                qid: [f"{r['em']:.0f}", f"{r['f1']:.4f}"]
+                for qid, r in self.answers.per_query.items()
+            }))
         if self.evidence is not None:
-            qids.update(self.evidence.per_query)
-        for k in ndcg_ks:
-            qids.update(self.ndcg_queries[k])  # type: ignore[index]
+            sections.append((["tp", "fp", "fn", "recall", "precision"], {
+                # recall tp / (tp + fn), then precision tp / (tp + fp)
+                qid: [str(tp), str(fp), str(fn), *(f"{_rate(tp, tp + x):.4f}" for x in (fn, fp))]
+                for qid, (tp, fp, fn) in self.evidence.per_query.items()
+            }))
+        for k, scores in sorted((self.ndcg_queries or {}).items()):
+            sections.append(([f"ndcg@{k}"], {qid: [f"{v:.4f}"] for qid, v in scores.items()}))
 
-        rows = []
-        for qid in sorted(qids):
-            row = [qid]
-            if self.answers is not None:
-                rec = self.answers.per_query.get(qid)
-                row += ["" if rec is None else f"{rec['em']:.0f}", ""]
-                if rec is not None:
-                    row[-1] = f"{rec['f1']:.4f}"
-            if self.evidence is not None:
-                rec = self.evidence.per_query.get(qid)
-                if rec is None:
-                    row += [""] * 5
-                else:
-                    row += [
-                        f"{rec['tp']:.0f}",
-                        f"{rec['fp']:.0f}",
-                        f"{rec['fn']:.0f}",
-                        f"{rec['recall']:.4f}",
-                        f"{rec['precision']:.4f}",
-                    ]
-            for k in ndcg_ks:
-                value = self.ndcg_queries[k].get(qid)  # type: ignore[index]
-                row.append("" if value is None else f"{value:.4f}")
-            rows.append(row)
+        columns = ["query_id", *(c for cols, _ in sections for c in cols)]
+        rows = [
+            [qid, *(c for cols, cells in sections for c in cells.get(qid, [""] * len(cols)))]
+            for qid in sorted(set().union(*(cells for _, cells in sections)))
+        ]
         return columns, rows
 
 

@@ -207,19 +207,7 @@ def render(template: PromptTemplate, query: Query, window: Sequence[Passage]) ->
 
 @lru_cache(maxsize=1)
 def default_templates() -> tuple[PromptTemplate, PromptTemplate]:
-    ranking = PromptTemplate(
-        name="ranking",
-        system_text=DEFAULT_SYSTEM,
-        per_passage_text=DEFAULT_PASSAGE,
-        instruction_text=DEFAULT_RANKING_INSTRUCTION,
-    )
-    selection = PromptTemplate(
-        name="selection",
-        system_text=DEFAULT_SYSTEM,
-        per_passage_text=DEFAULT_PASSAGE,
-        instruction_text=DEFAULT_SELECTION_INSTRUCTION,
-    )
-    return ranking, selection
+    return _parse_templates("")
 
 
 _SECTION_RE = re.compile(r"^\[(system|passage|instruction:ranking|instruction:selection)\]\s*$")

@@ -243,13 +243,6 @@ def select(
     return SelectionResult(selected_ids=list(queue), trace=trace)
 
 
-def cut(ranked_ids: Sequence[str], k: int) -> list[str]:
-    """First k ids of a ranking, order preserved."""
-    if not 1 <= k <= len(ranked_ids):
-        raise ValueError(f"k must be in 1..{len(ranked_ids)}, got {k}")
-    return list(ranked_ids[:k])
-
-
 def trace_lines(trace: WindowTrace) -> str:
     """One query's audit trail: one JSONL window record per line."""
     lines = []

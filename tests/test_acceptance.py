@@ -31,11 +31,10 @@ from ragsift.judge import (
     parse_selection,
     verdict_from_text,
 )
-from ragsift.metrics import answer_em_f1, evidence_scores, ndcg_query
+from ragsift.metrics import MetricsReport, answer_em_f1, evidence_scores, ndcg_query
 from ragsift.prompting import default_templates
 from ragsift.windowing import (
     WindowConfig,
-    cut,
     plan_ranking_windows,
     rerank,
     select,
@@ -205,8 +204,8 @@ def test_criterion_6_metrics_golden_suite():
     assert round(ndcg_query(["a", "b"], {"a": 0, "b": 3}, 2), 4) == 0.6309
     _, f1 = answer_em_f1("the cat sat", ["cat sat down"])
     assert round(f1, 4) == round(2 / 3, 4)
-    ev = evidence_scores({"q1": ["d1", "d2"]}, {"q1": {"d1"}})
-    assert round(ev.micro_f1, 4) == round(2 / 3, 4)
+    ev = MetricsReport(evidence=evidence_scores({"q1": ["d1", "d2"]}, {"q1": {"d1"}}))
+    assert round(ev.aggregates()["evidence_micro_f1"], 4) == round(2 / 3, 4)
     _report(6, "nDCG matches brute force on 1000 instances; fixtures hit at 4 decimals", started)
 
 
@@ -311,8 +310,10 @@ def test_criterion_8_end_to_end_determinism_and_selection_wins(mini_e2e, mini_di
     reranked = load_run(baseline[0] / "run.trec", max_depth=10)
     cut_scores = []
     for k in range(1, 11):
-        cut_sel = {qid: cut(cl.doc_ids(), min(k, len(cl))) for qid, cl in reranked.items()}
-        cut_scores.append(evidence_scores(cut_sel, gold).micro_f1)
+        cut_sel = {qid: cl.ids[:k] for qid, cl in reranked.items()}
+        cut_scores.append(
+            MetricsReport(evidence=evidence_scores(cut_sel, gold)).aggregates()["evidence_micro_f1"]
+        )
     best_cut = max(cut_scores)
 
     report = json.loads((baseline[2] / "report.json").read_text())

@@ -317,7 +317,36 @@ class TestEvaluateCommand:
         out = tmp_path / "eval"
         code = main(["evaluate", *flags, "--k", "0", "--ndcg-k", "10", "--out", str(out)])
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: k must be in 1..")
+        assert capsys.readouterr().err.startswith("error: --k must be at least 1, got 0")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            # flags that would be ignored
+            (["--predictions", "P", "--answers", "A", "--k", "3"], "--k needs --run"),
+            (["--predictions", "P", "--answers", "A", "--evidence", "E"], "--evidence needs"),
+            (["--selection", "S", "--run", "R", "--k", "3"], "--k cannot be combined"),
+            # cutoffs below 1, named by their flag
+            (["--run", "R", "--k", "0", "--ndcg-k", "10"], "--k must be at least 1, got 0"),
+            (["--run", "R", "--ndcg-k", "10", "0"], "--ndcg-k must be at least 1, got 0"),
+            # requests with a missing partner
+            (["--predictions", "P"], "no --answers gold file given"),
+            (["--ndcg-k", "10"], "no --run file given"),
+            ([], "nothing to evaluate"),
+        ],
+    )
+    def test_usage_errors_come_before_any_file_is_read(
+        self, tmp_path, capsys, flags, message
+    ):
+        # every input names a file that does not exist, so reading one would be the error
+        absent = tmp_path / "absent"
+        argv = [str(absent / f) if f in "PAESR" else f for f in flags]
+        out = tmp_path / "eval"
+        assert main(["evaluate", *argv, "--qrels", str(absent / "q"), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert str(absent) not in err
         assert not out.exists()
 
     def test_k_with_selection_is_refused(self, mini_dir, tmp_path, capsys):
@@ -901,6 +930,14 @@ class TestResume:
         assert "aborted queries" in capsys.readouterr().err
         assert gappy.read_bytes() == before
 
+    def test_failed_run_leaves_no_transcript_directory(self, mini_dir, tmp_path, capsys):
+        new_dir = tmp_path / "new"
+        flags = _mini_flags(mini_dir, ["--run", str(tmp_path / "missing.trec")])
+        live = ["--judge", "oracle", "--transcript", str(new_dir / "t.jsonl")]
+        assert main(["select", *flags, *live, "--out", str(tmp_path / "out")]) == 1
+        assert "missing.trec" in capsys.readouterr().err
+        assert not new_dir.exists()
+
     def test_replay_of_a_missing_transcript_exits_1(self, mini_dir, tmp_path, capsys):
         missing = tmp_path / "missing.jsonl"
         replay = ["--judge", "replay", "--transcript", str(missing), "--out", str(tmp_path / "out")]
@@ -1015,7 +1052,6 @@ PUBLIC_SURFACE = [
     "WindowConfig",
     "WindowTrace",
     "answer_em_f1",
-    "cut",
     "evaluate_answers",
     "evidence_from_qrels",
     "evidence_scores",

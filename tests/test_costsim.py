@@ -236,6 +236,8 @@ class TestProfileFromTrace:
             ("selected", [3, 3]),
             ("selected", [9]),
             ("selected", [0]),
+            ("query_id", 7),
+            ("query_id", None),
         ],
     )
     def test_field_of_the_wrong_type_is_refused(self, tmp_path, field, value):

@@ -33,6 +33,7 @@ from ragsift.judge import (
     judge_window,
     parse_ranking,
     parse_selection,
+    prompt_sha256,
     verdict_from_text,
 )
 from ragsift.prompting import default_templates, render
@@ -250,13 +251,20 @@ class TestReplayAndRecording:
         assert len(transcript.read_text(encoding="utf-8").splitlines()) == 2
 
     def test_missing_file_is_an_error_only_without_inner(self, tmp_path):
-        transcript = tmp_path / "new" / "t.jsonl"
+        transcript = tmp_path / "new" / "nested" / "t.jsonl"
         with pytest.raises(FileNotFoundError):
             TranscriptJudge(transcript)
-        recorder = TranscriptJudge(transcript, RawTextJudge(texts=["[1] > [2] > [3]"]))
-        assert len(recorder) == 0 and not transcript.exists()
-        judge_window(recorder, _prompt(3))
-        assert len(TranscriptJudge(transcript)) == 1
+        recorder = TranscriptJudge(transcript, OracleJudge(make_qrels("q1", {"d1": 2})))
+        # the directories are made at the first append, not when the judge is built
+        assert len(recorder) == 0 and not (tmp_path / "new").exists()
+        prompts = [_prompt(3), _prompt(2), _prompt(3, kind=SELECTION)]
+        for prompt in prompts:
+            judge_window(recorder, prompt)
+        lines = transcript.read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["prompt_sha256"] for line in lines] == [
+            prompt_sha256(prompt) for prompt in prompts
+        ]
+        assert len(TranscriptJudge(transcript)) == 3
 
 
 class _ChatHandler(BaseHTTPRequestHandler):

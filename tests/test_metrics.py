@@ -59,46 +59,47 @@ class TestAnswerEmF1:
         )
         assert metrics.missing_gold == ["q3"]
         assert metrics.missing_predictions == ["q2"]
-        assert metrics.evaluated == 2
+        assert MetricsReport(answers=metrics).to_json_dict()["answers"]["evaluated"] == 2
         assert metrics.per_query["q2"] == {"em": 0.0, "f1": 0.0}
 
 
 class TestEvidenceScores:
     def test_hand_counts(self):
         metrics = evidence_scores({"q1": ["d1", "d2"]}, {"q1": {"d1"}})
-        assert metrics.recall == 1.0
-        assert metrics.precision == 0.5
-        assert metrics.micro_f1 == pytest.approx(2 / 3)
+        assert metrics.per_query == {"q1": (1, 1, 0)}
+        aggregates = MetricsReport(evidence=metrics).aggregates()
+        assert aggregates["evidence_recall"] == 1.0
+        assert aggregates["evidence_precision"] == 0.5
+        assert aggregates["evidence_micro_f1"] == pytest.approx(2 / 3)
 
     def test_perfect_selection(self):
         gold = {"q1": {"d1", "d2"}, "q2": {"d3"}}
         metrics = evidence_scores({"q1": ["d2", "d1"], "q2": ["d3"]}, gold)
-        assert metrics.recall == metrics.precision == metrics.micro_f1 == 1.0
+        assert set(MetricsReport(evidence=metrics).aggregates().values()) == {1.0}
 
     def test_pooled_micro_f1(self):
         # (tp=1, fp=0, fn=1) and (tp=1, fp=1, fn=0) pool to 2*2/(4+1+1)
         gold = {"q1": {"d1", "d2"}, "q2": {"d3"}}
         selected = {"q1": ["d1"], "q2": ["d3", "d4"]}
-        metrics = evidence_scores(selected, gold)
-        assert metrics.micro_f1 == pytest.approx(2 / 3)
+        aggregates = MetricsReport(evidence=evidence_scores(selected, gold)).aggregates()
+        assert aggregates["evidence_micro_f1"] == pytest.approx(2 / 3)
 
     def test_empty_selection_allowed(self):
         metrics = evidence_scores({}, {"q1": {"d1"}})
-        assert metrics.per_query["q1"]["tp"] == 0
-        assert metrics.per_query["q1"]["fp"] == 0
-        assert metrics.recall == 0.0
+        assert metrics.per_query == {"q1": (0, 0, 1)}
+        assert MetricsReport(evidence=metrics).aggregates()["evidence_recall"] == 0.0
 
     def test_micro_equals_per_query_f1_for_single_query(self):
         rng = random.Random(5)
         for _ in range(50):
             gold = {f"d{i}" for i in rng.sample(range(10), rng.randint(1, 5))}
             sel = [f"d{i}" for i in rng.sample(range(10), rng.randint(0, 6))]
-            metrics = evidence_scores({"q": sel}, {"q": gold})
+            report = MetricsReport(evidence=evidence_scores({"q": sel}, {"q": gold}))
             tp = len(set(sel) & gold)
             p = tp / len(sel) if sel else 0.0
             r = tp / len(gold)
             f1 = 2 * p * r / (p + r) if p + r else 0.0
-            assert metrics.micro_f1 == pytest.approx(f1)
+            assert report.aggregates()["evidence_micro_f1"] == pytest.approx(f1)
 
 
 def brute_force_ndcg(run_grades: list[int], all_grades: list[int], k: int) -> float:
@@ -188,3 +189,82 @@ class TestReport:
         columns, rows = report.per_query_rows()
         assert columns[0] == "query_id"
         assert [r[0] for r in rows] == ["q1", "q2"]
+
+    def test_per_query_rows_leave_blank_the_sections_a_query_is_not_in(self):
+        # answers cover q1-q2, evidence q2-q3, nDCG q3-q4
+        report = MetricsReport(
+            answers=evaluate_answers(
+                {"q1": "blue whale", "q3": "x"}, {"q1": ["Blue whale!"], "q2": ["red fox"]}
+            ),
+            evidence=evidence_scores(
+                {"q2": ["d1", "d2"], "q3": ["d3"], "q5": ["d9"]},
+                {"q2": {"d1"}, "q3": {"d3", "d4", "d5"}},
+            ),
+            ndcg_queries={5: {"q3": 0.25, "q4": 1.0}},
+        )
+        columns, rows = report.per_query_rows()
+        assert columns == [
+            "query_id", "em", "f1", "tp", "fp", "fn", "recall", "precision", "ndcg@5"
+        ]
+        assert rows == [
+            ["q1", "1", "1.0000", "", "", "", "", "", ""],
+            ["q2", "0", "0.0000", "1", "1", "0", "1.0000", "0.5000", ""],
+            ["q3", "", "", "1", "0", "2", "0.3333", "1.0000", "0.2500"],
+            ["q4", "", "", "", "", "", "", "", "1.0000"],
+        ]
+        doc = report.to_json_dict()
+        assert doc["answers"] == {
+            "evaluated": 2, "missing_gold": ["q3"], "missing_predictions": ["q2"]
+        }
+        assert doc["evidence"] == {"evaluated": 2, "missing_gold": ["q5"]}
+        assert doc["aggregates"] == {
+            "em": 0.5,
+            "f1": 0.5,
+            "evidence_recall": (1.0 + 1 / 3) / 2,
+            "evidence_precision": 0.75,
+            "evidence_micro_f1": 4 / 7,
+            "evidence_micro_recall": 0.5,
+            "evidence_micro_precision": 2 / 3,
+            "ndcg@5": 0.625,
+        }
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.dictionaries(
+            st.sampled_from(["q1", "q2", "q3", "q4"]),
+            st.lists(st.sampled_from(["d1", "d2", "d3", "d4", "d5"]), max_size=5),
+            max_size=4,
+        ),
+        st.dictionaries(
+            st.sampled_from(["q1", "q2", "q3", "q4", "q5"]),
+            st.sets(st.sampled_from(["d1", "d2", "d3", "d4", "d5"]), max_size=4),
+            max_size=5,
+        ),
+    )
+    def test_evidence_aggregates_are_the_formulas_over_the_sets(self, selected, gold):
+        recall_sum = precision_sum = 0.0
+        tp_total = fp_total = fn_total = 0
+        for qid in sorted(gold):
+            sel, gold_set = set(selected.get(qid, ())), gold[qid]
+            tp = len(sel & gold_set)
+            recall_sum += tp / len(gold_set) if gold_set else 0.0
+            precision_sum += tp / len(sel) if sel else 0.0
+            tp_total += tp
+            fp_total += len(sel - gold_set)
+            fn_total += len(gold_set - sel)
+        n = len(gold)
+        pooled = 2 * tp_total + fp_total + fn_total
+        expected = {
+            "evidence_recall": recall_sum / n if n else 0.0,
+            "evidence_precision": precision_sum / n if n else 0.0,
+            "evidence_micro_f1": 2 * tp_total / pooled if pooled else 0.0,
+            "evidence_micro_recall": (
+                tp_total / (tp_total + fn_total) if tp_total + fn_total else 0.0
+            ),
+            "evidence_micro_precision": (
+                tp_total / (tp_total + fp_total) if tp_total + fp_total else 0.0
+            ),
+        }
+        report = MetricsReport(evidence=evidence_scores(selected, gold))
+        assert report.aggregates() == expected
+        assert report.to_json_dict()["evidence"]["evaluated"] == n

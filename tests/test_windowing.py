@@ -19,7 +19,6 @@ from ragsift.judge import (
 )
 from ragsift.windowing import (
     WindowConfig,
-    cut,
     plan_ranking_windows,
     rerank,
     select,
@@ -280,23 +279,6 @@ class TestWindowCountBounds:
         result = select(QUERY, passages, OracleJudge(qrels), cfg)
         lo, hi = window_count_bounds(cfg)
         assert lo <= len(result.trace.windows) <= hi
-
-
-class TestCut:
-    def test_prefix(self):
-        assert cut([f"d{i}" for i in range(100)], 5) == ["d0", "d1", "d2", "d3", "d4"]
-
-    def test_full_length_is_identity(self):
-        ids = ["a", "b", "c"]
-        assert cut(ids, 3) == ids
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            cut(["a"], 0)
-
-    def test_beyond_length_rejected(self):
-        with pytest.raises(ValueError):
-            cut(["a", "b"], 3)
 
 
 class PickingJudge(Judge):
