@@ -15,7 +15,6 @@ from .corpus import (
 )
 from .judge import (
     Judge,
-    JudgeEndpointConfig,
     JudgeTransportError,
     JudgeVerdict,
     OracleJudge,
@@ -47,7 +46,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CandidateList",
     "Judge",
-    "JudgeEndpointConfig",
     "JudgeTransportError",
     "JudgeVerdict",
     "LoadError",

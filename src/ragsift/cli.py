@@ -35,7 +35,7 @@ from .corpus import (
     trec_lines,
 )
 from .costsim import parse_profile_spec, ranking_cost, simulate
-from .judge import Judge, JudgeEndpointConfig, OracleJudge, RemoteJudge, TranscriptJudge
+from .judge import Judge, OracleJudge, RemoteJudge, TranscriptJudge
 from .metrics import (
     MetricsReport,
     evaluate_answers,
@@ -103,7 +103,7 @@ def _build_judge(args: argparse.Namespace, qrels=None) -> Judge:
     elif args.judge == "endpoint":
         if not args.endpoint_url or not args.model:
             raise LoadError("--judge endpoint requires --endpoint-url and --model")
-        judge = RemoteJudge(JudgeEndpointConfig(base_url=args.endpoint_url, model_name=args.model))
+        judge = RemoteJudge(args.endpoint_url, args.model)
     else:
         raise LoadError(f"unknown judge kind {args.judge!r}")
     if args.transcript:
@@ -266,12 +266,19 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             "nothing to evaluate: give --predictions/--answers, --selection or --run with "
             "--k/--ndcg-k"
         )
+    if args.run and not (args.k is not None or args.ndcg_k):
+        raise LoadError("--run needs --k or --ndcg-k: nothing else reads it")
+    if args.qrels and not (args.ndcg_k or (scores_evidence and not args.evidence)):
+        raise LoadError(
+            "--qrels is read only by --ndcg-k, and as evidence gold by --selection or --k "
+            "without --evidence"
+        )
 
     report = MetricsReport()
     qrels = load_qrels(args.qrels) if args.qrels else None
     if args.predictions:
         report.answers = evaluate_answers(load_predictions(args.predictions), load_answers(args.answers))
-    run = load_run(args.run, max_depth=args.depth) if args.k is not None or args.ndcg_k else None
+    run = load_run(args.run, max_depth=args.depth) if args.run else None
     if scores_evidence:
         if args.selection:
             selected = read_selection_file(args.selection)

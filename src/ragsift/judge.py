@@ -28,7 +28,7 @@ import random
 import re
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -281,37 +281,31 @@ class OracleJudge(Judge):
 
 API_KEY_ENV_VARS = ("RAGSIFT_API_KEY", "OPENAI_API_KEY")
 
-
-def api_key_from_env() -> str:
-    for name in API_KEY_ENV_VARS:
-        value = os.environ.get(name, "").strip()
-        if value:
-            return value
-    return ""
+# the remote judge's transport policy; no flag sets it
+ATTEMPTS = 4  # requests per window, the first included
+TIMEOUT_S = 60.0  # socket timeout of each request
+BACKOFF_S = 1.0  # the first sleep; each later one doubles, up to 30 s, all times 0.5-1.5
 
 
-@dataclass
-class JudgeEndpointConfig:
-    """Connection settings for an OpenAI-compatible chat-completions endpoint.
-
-    The API key comes from the environment (RAGSIFT_API_KEY or
-    OPENAI_API_KEY), never from flags or config files.
-    """
-
-    base_url: str
-    model_name: str
-    api_key: str = field(default="", repr=False)
-    max_retries: int = 3
-    timeout: float = 60.0
-    retry_base_delay: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not self.api_key:
-            self.api_key = api_key_from_env()
+def _reply_content(status: int, data: bytes, error: str) -> str:
+    """The message content of a reply below 500, or a fatal ``JudgeTransportError``."""
+    if not 200 <= status < 300:
+        raise JudgeTransportError(f"endpoint rejected request with {error}")
+    try:
+        content = json.loads(data)["choices"][0]["message"]["content"]
+        if not isinstance(content, (str, type(None))):
+            raise TypeError(f"message content is {type(content).__name__}, not a string")
+        return content or ""
+    except (ValueError, KeyError, IndexError, TypeError) as exc:
+        raise JudgeTransportError(f"malformed endpoint response: {exc}") from exc
 
 
 class RemoteJudge(Judge):
     """Judge backed by an OpenAI-compatible /chat/completions endpoint.
+
+    Without an ``api_key`` the key comes from the environment (the first
+    non-blank of RAGSIFT_API_KEY and OPENAI_API_KEY), never from flags or
+    config files, and it shows in no repr or log line.
 
     Requests go out through the stdlib's ``http.client``: each worker thread
     keeps one keep-alive connection (an ``HTTPSConnection``, with the ``ssl``
@@ -319,28 +313,35 @@ class RemoteJudge(Judge):
     and ``close()`` closes every connection the judge opened. Proxy
     environment variables are not honoured and redirects are not followed.
 
-    Retries transport failures (``OSError``, timeouts included, and
-    ``http.client.HTTPException``) and 5xx replies with exponential backoff
-    plus jitter. A reused connection that the server closed while it sat
+    Each window gets up to ``ATTEMPTS`` requests, each with a ``TIMEOUT_S``
+    socket timeout. Transport failures (``OSError``, timeouts included, and
+    ``http.client.HTTPException``) and 5xx replies are retried after a sleep
+    of ``BACKOFF_S``, doubled for each later retry up to 30 s, times a jitter
+    of 0.5 to 1.5. A reused connection that the server closed while it sat
     idle is reopened once at once, without spending an attempt. Any other
     non-2xx reply (429 included) and a malformed 2xx reply, one whose message
-    content is neither a string nor null included, are fatal. A response that
-    parsed, even after repair, is never retried.
+    content is neither a string nor null included, are fatal. A response
+    that parsed, even after repair, is never retried.
     """
 
-    def __init__(self, config: JudgeEndpointConfig):
+    def __init__(self, base_url: str, model_name: str, api_key: str = ""):
         # imported here, so that oracle and transcript-only runs skip its start-up cost
         from http.client import HTTPConnection, HTTPSConnection
 
-        url = urlsplit(config.base_url.rstrip("/") + "/chat/completions")
+        url = urlsplit(base_url.rstrip("/") + "/chat/completions")
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(
-                f"endpoint URL needs the form http(s)://host[:port][/path], got {config.base_url!r}"
+                f"endpoint URL needs the form http(s)://host[:port][/path], got {base_url!r}"
             )
         connection = HTTPSConnection if url.scheme == "https" else HTTPConnection
-        self.config = config
+        self.model_name = model_name
+        environ = (os.environ.get(name, "").strip() for name in API_KEY_ENV_VARS)
+        api_key = api_key or next(filter(None, environ), "")
+        self._headers = {"Content-Type": "application/json"}
+        if api_key:
+            self._headers["Authorization"] = f"Bearer {api_key}"
         self._path = url.path
-        self._new_connection = partial(connection, url.hostname, url.port, timeout=config.timeout)
+        self._new_connection = partial(connection, url.hostname, url.port, timeout=TIMEOUT_S)
         self._local = threading.local()
         self._connections: list[HTTPConnection] = []
         self._lock = threading.Lock()
@@ -354,7 +355,7 @@ class RemoteJudge(Judge):
                 self._connections.append(conn)
         return conn
 
-    def _post(self, body: bytes, headers: dict[str, str]) -> tuple[int, bytes]:
+    def _post(self, body: bytes) -> tuple[int, bytes]:
         """POST on this thread's connection; return the status and the reply body.
 
         Raises ``OSError`` or ``http.client.HTTPException`` on transport
@@ -364,7 +365,7 @@ class RemoteJudge(Judge):
         reused = conn.sock is not None
         try:
             try:
-                conn.request("POST", self._path, body, headers)
+                conn.request("POST", self._path, body, self._headers)
                 resp = conn.getresponse()
             except ConnectionError:
                 # an idle keep-alive connection the server has since closed
@@ -372,7 +373,7 @@ class RemoteJudge(Judge):
                 if not reused:
                     raise
                 conn.close()
-                conn.request("POST", self._path, body, headers)
+                conn.request("POST", self._path, body, self._headers)
                 resp = conn.getresponse()
             # on a reply marked will_close, getresponse() has already dropped
             # the socket, so the next request opens a new one
@@ -390,58 +391,29 @@ class RemoteJudge(Judge):
         if prompt.system:
             messages.append({"role": "system", "content": prompt.system})
         messages.append({"role": "user", "content": prompt.user})
-        payload = {
-            "model": self.config.model_name,
-            "messages": messages,
-            "temperature": 0.0,
-        }
+        payload = {"model": self.model_name, "messages": messages, "temperature": 0.0}
         body = json.dumps(payload).encode("utf-8")
-        headers = {"Content-Type": "application/json"}
-        if self.config.api_key:
-            headers["Authorization"] = f"Bearer {self.config.api_key}"
 
-        last_error: Exception | None = None
-        for attempt in range(self.config.max_retries + 1):
-            if attempt:
-                delay = min(30.0, self.config.retry_base_delay * 2**attempt)
+        for attempt in range(1, ATTEMPTS + 1):
+            if attempt > 1:
+                delay = min(30.0, BACKOFF_S * 2 ** (attempt - 2))
                 time.sleep(delay * (0.5 + random.random()))
             try:
-                status, data = self._post(body, headers)
+                status, data = self._post(body)
             except (OSError, HTTPException) as exc:
-                last_error = exc
-                logger.warning(
-                    "judge request failed (attempt %d/%d) for query %s: %s",
-                    attempt + 1,
-                    self.config.max_retries + 1,
-                    prompt.query_id,
-                    exc,
-                )
-                continue
-            snippet = data[:200].decode("utf-8", "replace")
-            if status >= 500:
-                last_error = RuntimeError(f"HTTP {status}: {snippet}")
-                logger.warning(
-                    "judge returned %d (attempt %d/%d) for query %s",
-                    status,
-                    attempt + 1,
-                    self.config.max_retries + 1,
-                    prompt.query_id,
-                )
-                continue
-            if not 200 <= status < 300:
-                raise JudgeTransportError(
-                    f"endpoint rejected request with HTTP {status}: {snippet}"
-                )
-            try:
-                content = json.loads(data)["choices"][0]["message"]["content"]
-                if not isinstance(content, (str, type(None))):
-                    raise TypeError(f"message content is {type(content).__name__}, not a string")
-                return content or ""
-            except (ValueError, KeyError, IndexError, TypeError) as exc:
-                raise JudgeTransportError(f"malformed endpoint response: {exc}") from exc
-        raise JudgeTransportError(
-            f"endpoint unreachable after {self.config.max_retries + 1} attempts: {last_error}"
-        )
+                error = str(exc)
+            else:
+                error = f"HTTP {status}: {data[:200].decode('utf-8', 'replace')}"
+                if status < 500:
+                    return _reply_content(status, data, error)
+            logger.warning(
+                "judge request failed (attempt %d/%d) for query %s: %s",
+                attempt,
+                ATTEMPTS,
+                prompt.query_id,
+                error,
+            )
+        raise JudgeTransportError(f"endpoint unreachable after {ATTEMPTS} attempts: {error}")
 
     def judge(self, prompt: RenderedPrompt) -> JudgeVerdict:
         return verdict_from_text(self._complete(prompt), prompt.kind, prompt.n)

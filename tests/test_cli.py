@@ -334,6 +334,11 @@ class TestEvaluateCommand:
             (["--predictions", "P"], "no --answers gold file given"),
             (["--ndcg-k", "10"], "no --run file given"),
             ([], "nothing to evaluate"),
+            # input files that nothing requested would read (the --qrels below is always given)
+            (["--predictions", "P", "--answers", "A", "--run", "R"], "--run needs --k or --ndcg-k"),
+            (["--predictions", "P", "--answers", "A"], "--qrels is read only by"),
+            (["--selection", "S", "--evidence", "E"], "--qrels is read only by"),
+            (["--run", "R", "--k", "3", "--evidence", "E"], "--qrels is read only by"),
         ],
     )
     def test_usage_errors_come_before_any_file_is_read(
@@ -1037,7 +1042,6 @@ def test_cli_surface_is_pinned():
 PUBLIC_SURFACE = [
     "CandidateList",
     "Judge",
-    "JudgeEndpointConfig",
     "JudgeTransportError",
     "JudgeVerdict",
     "LoadError",

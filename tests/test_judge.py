@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import logging
 import os
 import socket
 import subprocess
@@ -11,6 +12,7 @@ import time
 import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,6 @@ from ragsift.judge import (
     API_KEY_ENV_VARS,
     RANKING,
     SELECTION,
-    JudgeEndpointConfig,
     JudgeTransportError,
     JudgeVerdict,
     OracleJudge,
@@ -270,7 +271,8 @@ class TestReplayAndRecording:
 class _ChatHandler(BaseHTTPRequestHandler):
     """Scripted chat endpoint; a ``None`` entry in ``responses`` hangs until the test ends.
 
-    Each other entry is (status, message content); the content may be any JSON value.
+    Each other entry is (status, message content); the content may be any JSON
+    value, or ``bytes``, sent as the whole reply body.
     """
 
     responses: list[tuple[int, object] | None] = []
@@ -300,9 +302,9 @@ class _ChatHandler(BaseHTTPRequestHandler):
             self.release.wait(10)
             self.close_connection = True
             return
-        status, text = reply
-        payload = json.dumps(
-            {"choices": [{"message": {"role": "assistant", "content": text}}]}
+        status, content = reply
+        payload = content if isinstance(content, bytes) else json.dumps(
+            {"choices": [{"message": {"role": "assistant", "content": content}}]}
         ).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
@@ -378,12 +380,19 @@ def keepalive_server():
 
 
 @pytest.fixture
-def remote_judge():
-    """Build RemoteJudges from endpoint settings and close their connections after the test."""
+def remote_judge(monkeypatch):
+    """Build RemoteJudges and close their connections after the test.
+
+    Keyword arguments in capitals override the transport constants of
+    ``ragsift.judge`` (``ATTEMPTS``, ``TIMEOUT_S``, ``BACKOFF_S``) for the test.
+    """
     judges = []
 
-    def build(**config):
-        judges.append(RemoteJudge(JudgeEndpointConfig(**config)))
+    def build(base_url, model_name, api_key="", **constants):
+        for name, value in constants.items():
+            assert hasattr(ragsift.judge, name), name
+            monkeypatch.setattr(ragsift.judge, name, value)
+        judges.append(RemoteJudge(base_url, model_name, api_key))
         return judges[-1]
 
     yield build
@@ -409,7 +418,7 @@ class TestRemoteJudge:
         url, handler = chat_server
         handler.responses = [(500, "boom"), (200, "[3] > [2] > [1]")]
         judge = remote_judge(
-            base_url=url, model_name="m1", api_key="k", max_retries=2, retry_base_delay=0.01
+            base_url=url, model_name="m1", api_key="k", ATTEMPTS=3, BACKOFF_S=0.02
         )
         verdict = judge_window(judge, _prompt(3))
         assert verdict.permutation == (3, 2, 1)
@@ -428,7 +437,7 @@ class TestRemoteJudge:
         url, handler = chat_server
         handler.responses = [(500, "x"), (500, "x"), (500, "x")]
         judge = remote_judge(
-            base_url=url, model_name="m1", api_key="k", max_retries=2, retry_base_delay=0.01
+            base_url=url, model_name="m1", api_key="k", ATTEMPTS=3, BACKOFF_S=0.02
         )
         with pytest.raises(JudgeTransportError):
             judge_window(judge, _prompt(3))
@@ -442,9 +451,27 @@ class TestRemoteJudge:
         url, handler = chat_server
         handler.responses = [(200, content)]
         judge = remote_judge(
-            base_url=url, model_name="m1", api_key="k", max_retries=2, retry_base_delay=0.01
+            base_url=url, model_name="m1", api_key="k", ATTEMPTS=3, BACKOFF_S=0.02
         )
         with pytest.raises(JudgeTransportError, match="malformed endpoint response"):
+            judge_window(judge, _prompt(3))
+        assert len(handler.requests_seen) == 1
+
+    def test_429_aborts_after_one_request(self, chat_server, remote_judge):
+        url, handler = chat_server
+        handler.responses = [(429, b"slow down"), (200, "[1] > [2] > [3]")]
+        judge = remote_judge(base_url=url, model_name="m1", api_key="k")
+        with pytest.raises(
+            JudgeTransportError, match="^endpoint rejected request with HTTP 429: slow down$"
+        ):
+            judge_window(judge, _prompt(3))
+        assert len(handler.requests_seen) == 1
+
+    def test_200_that_is_not_json_is_malformed_and_not_retried(self, chat_server, remote_judge):
+        url, handler = chat_server
+        handler.responses = [(200, b"<html>busy</html>"), (200, "[1] > [2] > [3]")]
+        judge = remote_judge(base_url=url, model_name="m1", api_key="k")
+        with pytest.raises(JudgeTransportError, match="^malformed endpoint response: "):
             judge_window(judge, _prompt(3))
         assert len(handler.requests_seen) == 1
 
@@ -456,9 +483,27 @@ class TestRemoteJudge:
         assert verdict.raw_text == ""
         assert verdict.repairs == ("unparseable",)
 
+    def test_a_5xx_and_a_connection_error_log_one_warning_format(
+        self, chat_server, remote_judge, caplog
+    ):
+        url, handler = chat_server
+        handler.responses = [(503, b"busy")]
+        judge = remote_judge(base_url=url, model_name="m1", ATTEMPTS=2, BACKOFF_S=0.02)
+        assert judge_window(judge, _prompt(3)).permutation == (1, 2, 3)
+        refused = remote_judge(base_url="http://127.0.0.1:1/v1", model_name="m")
+        with pytest.raises(JudgeTransportError, match="^endpoint unreachable after 2 attempts: "):
+            judge_window(refused, _prompt(2))
+        messages = [r.getMessage() for r in caplog.records if r.name == "ragsift.judge"]
+        assert messages[0] == "judge request failed (attempt 1/2) for query q1: HTTP 503: busy"
+        assert [m.split(": ", 1)[0] for m in messages[1:]] == [
+            "judge request failed (attempt 1/2) for query q1",
+            "judge request failed (attempt 2/2) for query q1",
+        ]
+        assert all("Connection refused" in m for m in messages[1:])
+
     def test_unreachable_endpoint(self, remote_judge):
         judge = remote_judge(
-            base_url="http://127.0.0.1:1/v1", model_name="m", api_key="k", max_retries=0
+            base_url="http://127.0.0.1:1/v1", model_name="m", api_key="k", ATTEMPTS=1
         )
         with pytest.raises(JudgeTransportError):
             judge_window(judge, _prompt(2))
@@ -528,7 +573,7 @@ class TestKeepAliveTransport:
     def test_idle_close_reconnects_at_once(self, keepalive_server, remote_judge):
         url, handler = keepalive_server
         # any backoff sleep would take at least 5 s
-        judge = remote_judge(base_url=url, model_name="m1", api_key="k", retry_base_delay=5.0)
+        judge = remote_judge(base_url=url, model_name="m1", api_key="k", BACKOFF_S=10.0)
         judge_window(judge, _prompt(3))
         handler.close_idle()
         handler.responses = [(200, "[2] > [1] > [3]")]
@@ -545,9 +590,9 @@ class TestKeepAliveTransport:
             base_url=url,
             model_name="m1",
             api_key="k",
-            timeout=0.2,
-            max_retries=2,
-            retry_base_delay=0.01,
+            TIMEOUT_S=0.2,
+            ATTEMPTS=3,
+            BACKOFF_S=0.02,
         )
         # a first call leaves the connection open, so the first hang hits a reused one
         judge_window(judge, _prompt(3))
@@ -575,10 +620,52 @@ class TestKeepAliveTransport:
         assert handler.requests_meta[0][1] == expected
 
 
+class TestApiKey:
+    @pytest.mark.parametrize(
+        "env, api_key, expected",
+        [
+            ({"RAGSIFT_API_KEY": "r", "OPENAI_API_KEY": "o"}, "explicit", "Bearer explicit"),
+            ({"RAGSIFT_API_KEY": "r", "OPENAI_API_KEY": "o"}, "", "Bearer r"),
+            ({"RAGSIFT_API_KEY": " r\n", "OPENAI_API_KEY": "o"}, "", "Bearer r"),
+            ({"RAGSIFT_API_KEY": " \t", "OPENAI_API_KEY": "o"}, "", "Bearer o"),
+            ({"OPENAI_API_KEY": "o"}, "", "Bearer o"),
+            ({"RAGSIFT_API_KEY": " ", "OPENAI_API_KEY": "\n"}, "", None),
+        ],
+        ids=["explicit", "ragsift-first", "stripped", "blank-skipped", "openai", "all-blank"],
+    )
+    def test_explicit_key_then_environment_in_order(
+        self, keepalive_server, remote_judge, monkeypatch, env, api_key, expected
+    ):
+        for name in API_KEY_ENV_VARS:
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        url, handler = keepalive_server
+        judge = remote_judge(base_url=url, model_name="m1", api_key=api_key)
+        judge_window(judge, _prompt(3))
+        assert handler.requests_meta[0][1] == expected
+
+    def test_key_shows_in_no_repr_or_log_line(self, chat_server, remote_judge, caplog):
+        secret = "sk-do-not-print-0123456789"
+        url, handler = chat_server
+        handler.responses = [(503, b"busy"), (503, b"busy")]
+        judge = remote_judge(
+            base_url=url, model_name="m1", api_key=secret, ATTEMPTS=2, BACKOFF_S=0.02
+        )
+        caplog.set_level(logging.DEBUG)
+        with pytest.raises(JudgeTransportError) as failure:
+            judge_window(judge, _prompt(3))
+        assert handler.requests_meta[0][1] == f"Bearer {secret}"
+        assert caplog.records
+        assert all(secret not in record.getMessage() for record in caplog.records)
+        assert secret not in str(failure.value)
+        assert secret not in repr(judge)
+
+
 @pytest.mark.parametrize("base_url", ["localhost:8000/v1", "ftp://host/v1", "http:///v1"])
 def test_endpoint_url_needs_http_scheme_and_host(base_url):
     with pytest.raises(ValueError, match="http"):
-        RemoteJudge(JudgeEndpointConfig(base_url=base_url, model_name="m", api_key="k"))
+        RemoteJudge(base_url, "m", "k")
 
 
 def test_cli_non_string_content_aborts_only_its_query(
@@ -604,13 +691,38 @@ def test_cli_non_string_content_aborts_only_its_query(
     assert len((out / "selected.jsonl").read_text(encoding="utf-8").splitlines()) == 19
 
 
+def test_cli_always_503_spends_every_attempt_on_each_window(
+    chat_server, mini_dir, tmp_path, capsys, caplog, monkeypatch
+):
+    url, handler = chat_server
+    handler.responses = [(503, b"busy")] * 100
+    sleeps = []
+    monkeypatch.setattr(ragsift.judge, "time", SimpleNamespace(sleep=sleeps.append))
+    monkeypatch.setattr(ragsift.judge, "random", SimpleNamespace(random=lambda: 0.5))
+    code = main(
+        [
+            "select",
+            *("--corpus", str(mini_dir / "corpus.jsonl"), "--queries", str(mini_dir / "queries.jsonl")),
+            *("--run", str(mini_dir / "run.trec"), "--depth", "4", "--w", "4"),
+            *("--out", str(tmp_path / "out"), "--parallel", "1"),
+            *("--judge", "endpoint", "--endpoint-url", url, "--model", "m1"),
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "aborted queries (20): q001, " in err
+    # one window per query, four requests per window
+    assert len(handler.requests_seen) == 80
+    assert sleeps == [1.0, 2.0, 4.0] * 20
+    assert "q001 aborted: endpoint unreachable after 4 attempts: HTTP 503: busy" in caplog.text
+
+
 def test_cli_and_remote_judge_do_not_import_requests():
     """The judge transport is stdlib only; keep ``requests`` from creeping back."""
     code = (
         "import sys, ragsift.cli\n"
-        "from ragsift.judge import JudgeEndpointConfig, RemoteJudge\n"
-        "config = JudgeEndpointConfig(base_url='http://127.0.0.1:1/v1', model_name='m')\n"
-        "RemoteJudge(config).close()\n"
+        "from ragsift.judge import RemoteJudge\n"
+        "RemoteJudge('http://127.0.0.1:1/v1', 'm').close()\n"
         "assert 'requests' not in sys.modules, 'requests was imported'\n"
     )
     src = str(Path(ragsift.__file__).resolve().parents[1])
