@@ -10,11 +10,10 @@ canonicalized so they re-parse with zero repairs.
 
 from __future__ import annotations
 
-import json
 import logging
 from typing import Sequence
 
-from .corpus import Passage, Query
+from .corpus import Passage, Query, jsonl_line
 from .judge import (
     DEDUP,
     FREE_TEXT_STRIPPED,
@@ -138,11 +137,11 @@ def training_line(window: tuple[RenderedPrompt, JudgeVerdict | None]) -> tuple[i
             {"role": "user", "content": prompt.user},
             {"role": "assistant", "content": canonical_text(verdict)},
         ]
-        return 0, json.dumps({"messages": messages}, ensure_ascii=False) + "\n"
+        return 0, jsonl_line({"messages": messages})
     rejected = {
         "query_id": prompt.query_id,
         "kind": prompt.kind,
         "defects": defects,
         "raw_text": "" if verdict is None else verdict.raw_text,
     }
-    return 1, json.dumps(rejected, ensure_ascii=False) + "\n"
+    return 1, jsonl_line(rejected)

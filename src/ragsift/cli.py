@@ -252,6 +252,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise ValueError(f"--ndcg-k must be at least 1, got {min(args.ndcg_k)}")
     if args.predictions and not args.answers:
         raise LoadError("EM/F1 requested (--predictions) but no --answers gold file given")
+    if args.answers and not args.predictions:
+        raise LoadError("--answers needs --predictions: it is the gold EM/F1 scores them against")
     scores_evidence = bool(args.selection) or args.k is not None
     if args.evidence and not scores_evidence:
         raise LoadError("--evidence needs --selection or --k: there is no evidence set to score")

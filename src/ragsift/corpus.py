@@ -96,7 +96,8 @@ def check_passage_tokens(passage_tokens: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# line readers: every line-oriented input file is read through one of these two
+# line readers and the JSONL line writer: every line-oriented input file is read
+# through one of the two readers, and every JSONL line is written by jsonl_line
 
 
 def jsonl_records(path: Path) -> Iterator[tuple[int, dict]]:
@@ -120,6 +121,20 @@ def jsonl_records(path: Path) -> Iterator[tuple[int, dict]]:
                 yield lineno, record
         except UnicodeDecodeError:
             raise not_utf8(path) from None
+
+
+_ENCODER = json.JSONEncoder(ensure_ascii=False, check_circular=False)
+
+
+def jsonl_line(record: Any) -> str:
+    """``record`` as one JSONL line: ``json.dumps(record, ensure_ascii=False)`` plus a newline.
+
+    Every JSONL file the program writes goes through here. One encoder is
+    shared, and it skips the circular-reference check: the records are trees
+    built fresh from strings, numbers, lists, tuples and dicts. A tuple is
+    written as a JSON array.
+    """
+    return _ENCODER.encode(record) + "\n"
 
 
 def delimited_rows(

@@ -29,12 +29,13 @@ import re
 import threading
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
+from itertools import repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 from urllib.parse import urlsplit
 
-from .corpus import LoadError, jsonl_records
+from .corpus import LoadError, jsonl_line, jsonl_records
 from .prompting import RenderedPrompt
 
 if TYPE_CHECKING:
@@ -185,12 +186,18 @@ def parse_selection(text: str, n: int) -> tuple[list[int], str | None, list[str]
     return selected, None, list(_order_tags(tags))
 
 
+@lru_cache(maxsize=1024)
+def _label(i: int) -> str:
+    # a verdict's identifiers are bounded by its window size, so few labels are ever made
+    return f"[{i}]"
+
+
 def canonical_ranking_text(permutation: Sequence[int]) -> str:
-    return " > ".join(f"[{i}]" for i in permutation)
+    return " > ".join(map(_label, permutation))
 
 
 def canonical_selection_text(selected: Sequence[int], pseudo_answer: str | None = None) -> str:
-    line = "Selected: " + (", ".join(f"[{i}]" for i in selected) if selected else "none")
+    line = "Selected: " + (", ".join(map(_label, selected)) if selected else "none")
     if pseudo_answer:
         return f"{pseudo_answer}\n{line}"
     return line
@@ -260,18 +267,20 @@ class OracleJudge(Judge):
         self.selection_threshold = selection_threshold
 
     def judge(self, prompt: RenderedPrompt) -> JudgeVerdict:
-        # a pair absent from the qrels has grade 0
+        # grades[i] is the grade of identifier [i], 0 for a pair absent from the qrels;
+        # the 0 in front only pads index 0
         by_doc = self.qrels.get(prompt.query_id, {})
-        grades = [by_doc.get(d, 0) for d in prompt.doc_ids]
-        order = sorted(range(prompt.n), key=lambda i: (-grades[i], i))
+        grades = [0, *map(by_doc.get, prompt.doc_ids, repeat(0))]
+        # a reversed sort is still stable, so ties keep window order
+        order = sorted(range(1, prompt.n + 1), key=grades.__getitem__, reverse=True)
         if prompt.kind == RANKING:
-            permutation = tuple(i + 1 for i in order)
+            permutation = tuple(order)
             return JudgeVerdict(
                 kind=RANKING,
                 raw_text=canonical_ranking_text(permutation),
                 permutation=permutation,
             )
-        selected = tuple(i + 1 for i in order if grades[i] >= self.selection_threshold)
+        selected = tuple(i for i in order if grades[i] >= self.selection_threshold)
         return JudgeVerdict(
             kind=SELECTION,
             raw_text=canonical_selection_text(selected),
@@ -473,7 +482,7 @@ class TranscriptJudge(Judge):
             # made here, not when the judge is built, so a run that fails first leaves no directory
             self._path.parent.mkdir(parents=True, exist_ok=True)
             with self._path.open("a", encoding="utf-8") as fh:
-                fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+                fh.write(jsonl_line(record))
         return verdict
 
     def close(self) -> None:

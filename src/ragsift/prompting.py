@@ -5,6 +5,11 @@ the passages first, each labeled with a bracketed one-based identifier, then
 the task instruction. Rendering is a pure function, so identical inputs
 always produce byte-identical prompts.
 
+A window's user message costs one ``str.format`` call. The string it formats
+is compiled once per template pair and window size: the identifiers and the
+count depend on the size alone, so they are formatted into it then, and only
+the passages' titles and texts and the query are filled in per window.
+
 Templates are ``str.format`` strings, one per section of a template file.
 Each section may use only its own placeholders:
 
@@ -151,15 +156,26 @@ class RenderedPrompt:
         return self.system + "\n\n" + self.user
 
 
-def _numbered(template: str, slots: dict[str, int]) -> str:
-    """``template`` with each named placeholder replaced by its positional slot.
+_CONVERSIONS = {None: lambda value: value, "s": str, "r": repr, "a": ascii}
 
-    Conversions and format specs are kept, and literal braces escaped again.
+
+def _escaped(text: str) -> str:
+    return text.replace("{", "{{").replace("}", "}}")
+
+
+def _compiled(template: str, slots: dict[str, int], constants: dict[str, int]) -> str:
+    """``template`` with each slot placeholder made positional and each constant formatted in.
+
+    A slot keeps its conversion and format spec. A constant is formatted as
+    ``str.format`` would, ``format(conversion(value), spec)``, and escaped
+    with the literal text, so the result formats to the same string.
     """
     out = []
     for literal, field, spec, conv in string.Formatter().parse(template):
-        out.append(literal.replace("{", "{{").replace("}", "}}"))
-        if field is not None:
+        out.append(_escaped(literal))
+        if field in constants:
+            out.append(_escaped(format(_CONVERSIONS[conv](constants[field]), spec)))
+        elif field is not None:
             conv = f"!{conv}" if conv else ""
             spec = f":{spec}" if spec else ""
             out.append(f"{{{slots[field]}{conv}{spec}}}")
@@ -170,14 +186,18 @@ def _numbered(template: str, slots: dict[str, int]) -> str:
 def _window_format(per_passage: str, instruction: str, n: int) -> str:
     """One format string for a whole user message of ``n`` passages.
 
-    Passage k takes positional arguments 3k, 3k+1 and 3k+2 as its index,
-    title and text; the instruction takes 3n and 3n+1 as query and count.
+    Each passage's ``{index}`` (k+1 for passage k) and the instruction's
+    ``{count}`` (n) depend on the window size alone, so they are formatted
+    into the string here, once per template and size. Only the passages'
+    titles and texts and the query stay placeholders: passage k takes
+    positional arguments 2k and 2k+1 as its title and text, and the
+    instruction takes 2n as the query.
     """
     passages = "\n".join(
-        _numbered(per_passage, {"index": 3 * k, "title": 3 * k + 1, "text": 3 * k + 2})
+        _compiled(per_passage, {"title": 2 * k, "text": 2 * k + 1}, {"index": k + 1})
         for k in range(n)
     )
-    return passages + "\n\n" + _numbered(instruction, {"query": 3 * n, "count": 3 * n + 1})
+    return passages + "\n\n" + _compiled(instruction, {"query": 2 * n}, {"count": n})
 
 
 def render(template: PromptTemplate, query: Query, window: Sequence[Passage]) -> RenderedPrompt:
@@ -191,10 +211,10 @@ def render(template: PromptTemplate, query: Query, window: Sequence[Passage]) ->
     """
     if not window:
         raise ValueError("cannot render an empty window")
-    args: list[int | str] = []
-    for i, passage in enumerate(window, 1):
-        args += (i, passage.title or "", passage.text)
-    args += (query.text, len(window))
+    args: list[str] = []
+    for passage in window:
+        args += (passage.title or "", passage.text)
+    args.append(query.text)
     fmt = _window_format(template.per_passage_text, template.instruction_text, len(window))
     return RenderedPrompt(
         system=template.system_text,

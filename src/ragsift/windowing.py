@@ -19,14 +19,13 @@ concurrently instead. All per-query state lives in the returned trace.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from itertools import islice
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import Passage, Query, id_list, load_query_field
+from .corpus import Passage, Query, id_list, jsonl_line, load_query_field
 from .judge import Judge, JudgeTransportError, JudgeVerdict, judge_window
 from .prompting import PromptTemplate, default_templates, render
 
@@ -251,36 +250,32 @@ def trace_lines(trace: WindowTrace) -> str:
         record = {
             "query_id": trace.query_id,
             "window_index": index,
-            "carried": list(rec.carried),
-            "fresh": list(rec.fresh),
+            "carried": rec.carried,
+            "fresh": rec.fresh,
             "verdict": {
                 "kind": v.kind,
-                "permutation": list(v.permutation) if v.permutation else None,
-                "selected": list(v.selected) if v.selected is not None else None,
+                "permutation": v.permutation or None,
+                "selected": v.selected,
                 "pseudo_answer": v.pseudo_answer,
-                "repairs": list(v.repairs),
+                "repairs": v.repairs,
                 "raw_text": v.raw_text,
             },
-            "queue_after": list(rec.queue_after) if rec.queue_after is not None else None,
-            "window_after": list(rec.window_after) if rec.window_after is not None else None,
+            "queue_after": rec.queue_after,
+            "window_after": rec.window_after,
         }
-        lines.append(json.dumps(record, ensure_ascii=False) + "\n")
+        lines.append(jsonl_line(record))
     return "".join(lines)
 
 
 def selection_line(query_id: str, result: SelectionResult) -> str:
     """One query's selection JSONL line: the final queue and per-window pseudo answers."""
-    return (
-        json.dumps(
-            {
-                "query_id": query_id,
-                "selected": result.selected_ids,
-                "pseudo_answers": [rec.verdict.pseudo_answer for rec in result.trace.windows],
-                "windows": len(result.trace.windows),
-            },
-            ensure_ascii=False,
-        )
-        + "\n"
+    return jsonl_line(
+        {
+            "query_id": query_id,
+            "selected": result.selected_ids,
+            "pseudo_answers": [rec.verdict.pseudo_answer for rec in result.trace.windows],
+            "windows": len(result.trace.windows),
+        }
     )
 
 

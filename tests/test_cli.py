@@ -339,6 +339,8 @@ class TestEvaluateCommand:
             (["--predictions", "P", "--answers", "A"], "--qrels is read only by"),
             (["--selection", "S", "--evidence", "E"], "--qrels is read only by"),
             (["--run", "R", "--k", "3", "--evidence", "E"], "--qrels is read only by"),
+            # a gold file with nothing to score against it
+            (["--answers", "A", "--run", "R", "--ndcg-k", "10"], "--answers needs --predictions"),
         ],
     )
     def test_usage_errors_come_before_any_file_is_read(

@@ -15,6 +15,7 @@ from ragsift.corpus import (
     Passage,
     check_run_resolves,
     evidence_from_qrels,
+    jsonl_line,
     load_answers,
     load_corpus,
     load_evidence,
@@ -517,3 +518,34 @@ def test_malformed_line_names_file_and_line(tmp_path, reader, defect, line):
 def test_valid_line_and_blank_lines_load(tmp_path, reader):
     read, name, first = READERS[reader]
     read(_write(tmp_path, name, f"\n{first}\n\n"))
+
+
+# text with lone surrogates and control characters, which the encoder escapes,
+# beside non-ASCII characters it writes as they are
+_JSON_TEXT = st.text(
+    st.characters(exclude_categories=()) | st.sampled_from("\x00\x1f\x7f\u2028é😀\ud800\udfff\"\\")
+)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _JSON_TEXT,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(_JSON_TEXT, children, max_size=4),
+    max_leaves=12,
+)
+
+
+def _as_lists(value):
+    if isinstance(value, (list, tuple)):
+        return [_as_lists(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _as_lists(v) for k, v in value.items()}
+    return value
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_jsonl_line_is_json_dumps_plus_newline(value):
+    line = jsonl_line(value)
+    assert line == json.dumps(value, ensure_ascii=False) + "\n"
+    # a tuple is written as the array of its items
+    assert line == jsonl_line(_as_lists(value))

@@ -37,7 +37,7 @@ from ragsift.judge import (
     prompt_sha256,
     verdict_from_text,
 )
-from ragsift.prompting import default_templates, render
+from ragsift.prompting import RenderedPrompt, default_templates, render
 from tests.conftest import QUERY, RawTextJudge, make_passages, make_qrels
 
 
@@ -208,6 +208,27 @@ class TestOracleJudge:
         judge = OracleJudge(make_qrels("q1", {"d2": 1, "d4": 0}))
         assert judge_window(judge, _prompt(4)).permutation == (2, 1, 3, 4)
         assert judge_window(judge, _prompt(4, kind=SELECTION)).selected == (2,)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.none() | st.integers(0, 3), min_size=1, max_size=30),
+        st.integers(0, 4),
+    )
+    def test_order_is_grade_desc_then_window_order(self, grades, threshold):
+        # a None grade leaves the passage out of the qrels, so it grades 0
+        doc_ids = tuple(f"d{i}" for i in range(len(grades)))
+        qrels = {"q1": {d: g for d, g in zip(doc_ids, grades) if g is not None}}
+        g = [grade or 0 for grade in grades]
+        order = [i + 1 for i in sorted(range(len(g)), key=lambda i: (-g[i], i))]
+        judge = OracleJudge(qrels, selection_threshold=threshold)
+        ranking, selection = (
+            judge.judge(RenderedPrompt("", "", "q1", doc_ids, kind)) for kind in (RANKING, SELECTION)
+        )
+        assert ranking.permutation == tuple(order)
+        assert ranking.raw_text == " > ".join(f"[{i}]" for i in order)
+        selected = [i for i in order if g[i - 1] >= threshold]
+        assert selection.selected == tuple(selected)
+        assert selection.raw_text == "Selected: " + (", ".join(f"[{i}]" for i in selected) or "none")
 
 
 class TestReplayAndRecording:

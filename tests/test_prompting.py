@@ -13,6 +13,7 @@ from ragsift.prompting import (
     TemplateError,
     default_templates,
     load_templates,
+    _window_format,
     render,
 )
 from tests.conftest import QUERY, make_passages
@@ -134,6 +135,16 @@ class TestRender:
         prompt = render(ranking, QUERY, [Passage("d1", text)])
         assert len(text) == 5000
         assert prompt.user.startswith(f"[1] {text}\n\n")
+
+    @pytest.mark.parametrize("template", default_templates(), ids=lambda t: t.name)
+    def test_window_size_constants_are_compiled_in(self, template):
+        # identifiers and count are formatted once per window size; only the 20
+        # texts and the query are left for each render to fill in
+        fmt = _window_format(template.per_passage_text, template.instruction_text, 20)
+        fields = [f for _, f, _, _ in string.Formatter().parse(fmt) if f is not None]
+        assert fields == [str(k) for k in range(1, 40, 2)] + ["40"]
+        assert fmt.startswith("[1] ")
+        assert "[20] {39}" in fmt and "the 20 passages above" in fmt
 
     @settings(max_examples=300, deadline=None)
     @given(
